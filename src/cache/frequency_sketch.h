@@ -6,13 +6,13 @@
 // against the main region's victim; one-shot scan keys never accumulate
 // enough frequency to displace the hot working set.
 //
-// Concurrency: Observe() is called from the cache's lock-free hit path, so
-// every mutation is a relaxed/CAS atomic op — no mutex anywhere. Counter
+// Concurrency: the cache calls Observe() only under its shard's writer lock
+// (inserts, and the drain of buffered hits), but every mutation is still a
+// relaxed/CAS atomic op, so concurrent Observes stay safe. Counter
 // increments are bounded CAS loops that give up under contention and skip
-// entirely once the nibble saturates at 15 (hot keys stop writing almost
-// immediately, which is what keeps a Zipf-hot probe path cheap). Reset() is
-// writer-only (the owning shard's insert path) and is lossy with respect to
-// concurrent Observes — the sketch is an estimator, not a ledger.
+// entirely once the nibble saturates at 15. Reset() is writer-only and is
+// lossy with respect to concurrent Observes — the sketch is an estimator,
+// not a ledger.
 #ifndef RC_SRC_CACHE_FREQUENCY_SKETCH_H_
 #define RC_SRC_CACHE_FREQUENCY_SKETCH_H_
 

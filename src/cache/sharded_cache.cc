@@ -21,6 +21,18 @@ constexpr uint8_t kCtrlTombstone = 1;
 
 std::atomic<uint64_t> g_shard_lock_count{0};
 
+// Per-shard read buffers (see Shard::reads): stripes and entries per stripe.
+constexpr size_t kReadStripes = 8;
+constexpr size_t kReadBufferSize = 256;
+
+// The read-buffer stripe this thread appends to in every shard, assigned
+// round-robin on first use so up to kReadStripes threads never share one.
+size_t ReadStripe() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t stripe = next.fetch_add(1, kRelaxed) % kReadStripes;
+  return stripe;
+}
+
 // Control byte for a present entry: high bit set plus 7 tag bits from the
 // top of the mixed hash (disjoint from the probe-start bits), so a probe
 // touches the 32-byte slot only when the tag already agrees.
@@ -77,15 +89,21 @@ struct Word2Cache::Shard {
   std::unique_ptr<std::atomic<uint8_t>[]> ctrl_storage;
   std::unique_ptr<Slot[]> slots_storage;
 
-  FrequencySketch sketch;
+  FrequencySketch sketch;  // written only under mu (inserts and drains)
 
-  // Lossy access ring: readers append hit keys (one relaxed fetch_add + one
-  // relaxed store), the writer drains on insert to update recency. Overruns
-  // drop the oldest events — the policy is an approximation either way.
-  static constexpr size_t kRingSize = 256;
-  std::unique_ptr<std::atomic<uint64_t>[]> ring;
-  std::atomic<uint64_t> ring_head{0};
-  uint64_t ring_tail = 0;  // guarded by mu
+  // Lossy per-thread read buffers (Caffeine's striped read buffer): a hit
+  // appends its key to the stripe its thread is pinned to, the writer drains
+  // every stripe on insert into the sketch (frequency) and the LRU lists
+  // (recency). A stripe's head is written by its owner thread only, so a hit
+  // stores into cache lines no other reader writes. An overrun drops the
+  // oldest events, and threads beyond kReadStripes share stripes and may
+  // drop each other's — the policy is an approximation either way.
+  struct alignas(64) ReadBuffer {
+    std::atomic<uint64_t> head{0};
+    uint64_t tail = 0;  // guarded by mu
+    alignas(64) std::atomic<uint64_t> keys[kReadBufferSize];
+  };
+  std::unique_ptr<ReadBuffer[]> reads;  // kReadStripes, allocated with the table
 
   // W-TinyLFU policy state; all guarded by mu.
   std::vector<Meta> meta;
@@ -240,11 +258,11 @@ bool Word2Cache::Lookup(uint64_t key, uint64_t out[2]) const {
       if (k != key) break;  // tag collision: keep probing the chain
       out[0] = a;
       out[1] = b;
-      // Record the access for the admission policy: frequency now, recency
-      // via the ring the next writer drains. Both lock-free and lossy.
-      s.sketch.Observe(h);
-      const uint64_t pos = s.ring_head.fetch_add(1, kRelaxed);
-      s.ring[pos & (Shard::kRingSize - 1)].store(key, kRelaxed);
+      // Record the access for the next writer to apply (lossy, lock-free).
+      Shard::ReadBuffer& buffer = s.reads[ReadStripe()];
+      const uint64_t pos = buffer.head.load(kRelaxed);
+      buffer.keys[pos & (kReadBufferSize - 1)].store(key, kRelaxed);
+      buffer.head.store(pos + 1, kRelease);
       return true;
     }
     // Retries exhausted under writer churn: treat as a miss for this slot
@@ -268,7 +286,7 @@ void Word2Cache::Insert(uint64_t key, const uint64_t value[2],
   // this same lock — removes the entry.)
   if (epoch_.load(kAcquire) != epoch_token) return;
   EnsureTableLocked(s);
-  DrainRingLocked(s);
+  DrainReadsLocked(s);
   s.sketch.Observe(h);
   if (s.sketch.ShouldReset()) {
     s.sketch.Reset();
@@ -298,7 +316,7 @@ void Word2Cache::EnsureTableLocked(Shard& s) {
   s.table_mask = table - 1;
   s.ctrl_storage = std::make_unique<std::atomic<uint8_t>[]>(table);
   s.slots_storage = std::make_unique<Slot[]>(table);
-  s.ring = std::make_unique<std::atomic<uint64_t>[]>(Word2Cache::Shard::kRingSize);
+  s.reads = std::make_unique<Shard::ReadBuffer[]>(kReadStripes);
   s.meta.assign(table, Meta{});
   s.sketch.Init(s.capacity);
   s.slots.store(s.slots_storage.get(), kRelease);
@@ -415,19 +433,21 @@ void Word2Cache::TouchLocked(Shard& s, uint32_t idx) {
   }
 }
 
-void Word2Cache::DrainRingLocked(Shard& s) {
-  if (s.ring == nullptr) return;
-  const uint64_t head = s.ring_head.load(kAcquire);
-  if (head == s.ring_tail) return;
-  if (head - s.ring_tail > Shard::kRingSize) {
-    s.ring_tail = head - Shard::kRingSize;  // overrun: oldest events lost
-  }
-  while (s.ring_tail != head) {
-    const uint64_t key =
-        s.ring[s.ring_tail & (Shard::kRingSize - 1)].load(kRelaxed);
-    s.ring_tail += 1;
-    const uint32_t idx = FindSlotLocked(s, key, HashU64(key));
-    if (idx != kNil) TouchLocked(s, idx);
+void Word2Cache::DrainReadsLocked(Shard& s) {
+  for (size_t b = 0; b < kReadStripes; ++b) {
+    Shard::ReadBuffer& buffer = s.reads[b];
+    const uint64_t head = buffer.head.load(kAcquire);
+    if (head - buffer.tail > kReadBufferSize) {
+      buffer.tail = head - kReadBufferSize;  // overrun: oldest lost
+    }
+    for (; buffer.tail != head; ++buffer.tail) {
+      const uint64_t key =
+          buffer.keys[buffer.tail & (kReadBufferSize - 1)].load(kRelaxed);
+      const uint64_t h = HashU64(key);
+      s.sketch.Observe(h);
+      const uint32_t idx = FindSlotLocked(s, key, h);
+      if (idx != kNil) TouchLocked(s, idx);
+    }
   }
 }
 
@@ -494,7 +514,9 @@ void Word2Cache::Invalidate() {
     s.tombstones = 0;
     total_entries_.fetch_sub(static_cast<int64_t>(s.entries), kRelaxed);
     s.entries = 0;
-    s.ring_tail = s.ring_head.load(kAcquire);  // drop queued recency events
+    for (size_t b = 0; b < kReadStripes; ++b) {  // drop queued reads
+      s.reads[b].tail = s.reads[b].head.load(kAcquire);
+    }
     // The sketch survives: the invalidated keys are about to be re-requested
     // and their frequency history is exactly what admission needs.
   }

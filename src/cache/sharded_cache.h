@@ -10,18 +10,22 @@
 //    fixed-size entries plus a SwissTable-style control-byte array (7-bit
 //    key tag, empty, tombstone). A hit performs ZERO mutex acquisitions:
 //    probe the control bytes, seqlock-read the slot (bounded retries; a
-//    validation failure is counted and treated as a mismatch), then record
-//    the access in the frequency sketch (lossy CAS) and a lossy ring buffer
-//    that writers drain for recency updates. Every slot field readers touch
-//    is an atomic, so the seqlock needs no fences and is visible to TSan as
-//    plain atomics (no annotations, no suppressions).
+//    validation failure is counted and treated as a mismatch), then append
+//    the key to this thread's lossy read buffer (one stripe per thread, on
+//    cache lines no other reader writes). A hit writes nothing shared: no
+//    sketch update, no shared counter. Every slot field readers touch is an
+//    atomic, so the seqlock needs no fences and is visible to TSan as plain
+//    atomics (no annotations, no suppressions).
 //  * Write path — one mutex per shard serializes inserts/evictions and all
 //    policy state: a W-TinyLFU arrangement of a small admission window
 //    (LRU), a segmented main region (probation/protected LRUs), and the
 //    4-bit count-min FrequencySketch with doorkeeper + periodic halving.
-//    Capacity overflow evicts per insert — never a bulk flush: the window's
-//    LRU candidate duels the probation victim on sketch frequency, so
-//    one-shot scan keys cannot displace the Zipf-hot working set.
+//    Each insert first drains the read buffers, applying the buffered hits
+//    as frequency (sketch) and recency (LRU lists), so the admission duel
+//    sees every access the buffers did not drop. Capacity overflow evicts
+//    per insert — never a bulk flush: the window's LRU candidate duels the
+//    probation victim on sketch frequency, so one-shot scan keys cannot
+//    displace the Zipf-hot working set.
 //  * Epoch invalidation — Insert carries the epoch token the caller read
 //    before computing the value; Invalidate() bumps the epoch and then
 //    clears each shard under its writer lock, so an insert racing an
@@ -97,7 +101,7 @@ class Word2Cache {
   Word2Cache& operator=(const Word2Cache&) = delete;
 
   // Lock-free on hit (unless options.locked_probe). Fills out[2] and
-  // records the access for the admission policy.
+  // buffers the access for the next Insert into the shard to apply.
   bool Lookup(uint64_t key, uint64_t out[2]) const;
 
   // Inserts (or updates in place) unless the cache was invalidated after
@@ -131,7 +135,7 @@ class Word2Cache {
   void EvictSlotLocked(Shard& s, uint32_t idx);
   void EvictFromWindowLocked(Shard& s);
   void TouchLocked(Shard& s, uint32_t idx);
-  void DrainRingLocked(Shard& s);
+  void DrainReadsLocked(Shard& s);
   void MaybeRebuildLocked(Shard& s);
 
   CacheOptions options_;

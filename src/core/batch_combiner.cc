@@ -14,6 +14,7 @@ const char* ToString(CombineFlush flush) {
     case CombineFlush::kHandoff: return "handoff";
     case CombineFlush::kShutdown: return "shutdown";
     case CombineFlush::kCacheHit: return "cache-hit";
+    case CombineFlush::kNoPrediction: return "no-prediction";
   }
   return "unknown";
 }
@@ -76,6 +77,13 @@ CombineResult BatchCombiner::Predict(const std::string& model,
       hit.degraded = client_->degraded_reason();
       hit.flush = CombineFlush::kCacheHit;
       return hit;
+    }
+    if (client_->AnswerNoPrediction(model, inputs)) {
+      CombineResult none;
+      none.prediction = Prediction::None();
+      none.degraded = client_->degraded_reason();
+      none.flush = CombineFlush::kNoPrediction;
+      return none;
     }
   }
   Slot slot;
@@ -239,7 +247,8 @@ void BatchCombiner::DispatchLocked(std::unique_lock<std::mutex>& lock,
     case CombineFlush::kHandoff: m_.flush_handoff->Increment(); break;
     case CombineFlush::kFastPath:
     case CombineFlush::kShutdown:
-    case CombineFlush::kCacheHit: break;  // not dispatch reasons
+    case CombineFlush::kCacheHit:
+    case CombineFlush::kNoPrediction: break;  // not dispatch reasons
   }
   // Handoff: a batch that opened while we executed holds requests that have
   // already waited an execution's worth of time — flush it immediately.

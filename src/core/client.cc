@@ -136,6 +136,8 @@ void Client::RegisterInstruments() {
   m_.store_fetches = counter("rc_client_store_fetches", "successful store reads");
   m_.disk_hits = counter("rc_client_disk_hits", "disk-mirror fallback hits");
   m_.no_predictions = counter("rc_client_no_predictions", "no-prediction answers");
+  m_.state_publishes =
+      counter("rc_client_state_publishes", "ClientState snapshots copied and published");
   m_.store_errors = counter("rc_client_store_errors", "failed store reads (pre-retry)");
   m_.store_retries = counter("rc_client_store_retries", "store read retry attempts");
   m_.corrupt_blobs = counter("rc_client_corrupt_blobs", "blobs rejected by checksum");
@@ -216,6 +218,7 @@ bool Client::Initialize() {
 
 void Client::PublishLocked(std::shared_ptr<ClientState> next) {
   rc::obs::TraceSpan span("client/publish_state");
+  m_.state_publishes->Increment();
   master_state_ = StatePtr(std::move(next));
   snapshot_.store(master_state_);
 }
@@ -595,8 +598,10 @@ Prediction Client::PredictSingleImpl(const std::string& model_name,
 
   // Cache miss: coalesce with concurrent misses when a combiner is
   // configured. ok=false only when the combiner is shut down (client
-  // teardown); direct execution is the correct fallback then.
+  // teardown); direct execution is the correct fallback then. A final
+  // no-prediction is answered here, so it never waits out a window.
   if (combiner_ != nullptr) {
+    if (AnswerNoPrediction(model_name, inputs)) return Prediction::None();
     CombineResult coalesced = combiner_->Predict(model_name, inputs);
     if (coalesced.ok) return coalesced.prediction;
   }
@@ -634,11 +639,32 @@ Prediction Client::PredictUncoalesced(const std::string& model_name,
   return prediction;
 }
 
+bool Client::MissIsFinal() const {
+  return config_.mode == CacheMode::kPush && disk_ == nullptr;
+}
+
+bool Client::AnswerNoPrediction(const std::string& model_name, const ClientInputs& inputs) {
+  if (!MissIsFinal()) return false;
+  StatePtr state = LoadState();
+  if (state->FindReadyModel(model_name) != nullptr &&
+      (state->FindFeatures(inputs.subscription_id) != nullptr ||
+       config_.allow_missing_feature_data)) {
+    return false;
+  }
+  m_.no_predictions->Increment();
+  return true;
+}
+
 Prediction Client::PredictMiss(const std::string& model_name, const ClientInputs& inputs,
                                uint64_t cache_key, uint64_t epoch) {
   const bool pull = config_.mode == CacheMode::kPull;
   StatePtr state;
-  {
+  if (MissIsFinal()) {
+    // Nothing to fetch, so the snapshot's answer is final: re-read it without
+    // a lock (a push may have landed since the caller's load) and answer —
+    // no writer_mu_, no state copy, no publish.
+    state = LoadState();
+  } else {
     std::lock_guard<std::mutex> lock(writer_mu_);
     // Another thread (or a push) may have filled the gap while we waited.
     StatePtr current = master_state_;
@@ -675,6 +701,7 @@ Prediction Client::PredictMiss(const std::string& model_name, const ClientInputs
     m_.no_predictions->Increment();
     return Prediction::None();
   }
+  // Counts and answers no-prediction itself when the features are absent.
   Prediction prediction = Execute(*state, *model, inputs);
   if (prediction.valid) ResultCacheInsert(cache_key, prediction, epoch);
   return prediction;

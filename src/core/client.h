@@ -18,9 +18,11 @@
 // Concurrency model (see DESIGN.md "Client concurrency model"): the hot path
 // executes against an immutable, atomically-published state snapshot.
 // Models, featurizers, and feature data live in a `const ClientState`;
-// writers (push listener, pull-mode fills, ForceReloadCache, FlushCache)
-// copy the current state, mutate the copy under `writer_mu_`, and publish it
-// to a striped snapshot holder. Readers never take `writer_mu_` or any
+// writers (push listener, pull-mode and disk-mirror fills, ForceReloadCache,
+// FlushCache) copy the current state, mutate the copy under `writer_mu_`, and
+// publish it to a striped snapshot holder. A push-mode miss with no disk
+// mirror is not a writer: it answers from the snapshot (no-prediction for an
+// unknown subscription). Readers never take `writer_mu_` or any
 // shared lock: each reader thread pins one stripe and copies that stripe's
 // shared_ptr under the stripe's (uncontended) mutex. The result cache is an
 // rc::cache::ShardedCache — W-TinyLFU admission, per-insert eviction, and a
@@ -323,6 +325,7 @@ class Client {
     rc::obs::Counter* store_fetches;
     rc::obs::Counter* disk_hits;
     rc::obs::Counter* no_predictions;
+    rc::obs::Counter* state_publishes;  // PublishLocked calls
     rc::obs::Counter* store_errors;
     rc::obs::Counter* store_retries;
     rc::obs::Counter* corrupt_blobs;
@@ -394,11 +397,23 @@ class Client {
   // PredictSingle itself (probe_result_cache mode).
   std::optional<Prediction> ProbeResultCache(const std::string& model_name,
                                              const ClientInputs& inputs);
-  // Slow path: a model or feature record was missing from the snapshot.
+  // Push mode without a disk mirror: a model or feature record missing from
+  // the snapshot cannot be fetched from anywhere, so the snapshot's answer
+  // is final and a miss needs no writer.
+  bool MissIsFinal() const;
+  // Lock-free: when MissIsFinal and the current snapshot lacks the ready
+  // model or the subscription's features (unless missing features are
+  // allowed), counts a no-prediction and returns true.
+  bool AnswerNoPrediction(const std::string& model_name, const ClientInputs& inputs);
+  // Slow path: a model or feature record was missing from the caller's
+  // snapshot. Answers from a fresh snapshot when MissIsFinal; otherwise
+  // fills under writer_mu_ (store or disk mirror) and publishes.
   Prediction PredictMiss(const std::string& model_name, const ClientInputs& inputs,
                          uint64_t cache_key, uint64_t epoch);
 
-  friend class BatchCombiner;  // calls PredictUncoalesced on its fast path
+  // Calls PredictUncoalesced on its fast path, AnswerNoPrediction before it
+  // parks.
+  friend class BatchCombiner;
 
   rc::store::KvStore* store_;
   ClientConfig config_;

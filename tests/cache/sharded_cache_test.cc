@@ -158,6 +158,37 @@ TEST(Word2CacheTest, HitPathTakesZeroShardLocks) {
   EXPECT_EQ(ShardLockAcquisitions(), locks_before);
 }
 
+TEST(Word2CacheTest, HitsFromOtherThreadsApplyAsRecencyAndFrequency) {
+  // Hits are buffered per thread and applied by the next Insert into the
+  // shard. A and B are inserted identically; only A is then hit, and only
+  // from other threads. Capacity 200 gives a 2-entry admission window.
+  Word2Cache cache(SmallOptions(200));
+  for (uint64_t k = 1000; k < 1200; ++k) InsertKey(cache, k);  // full
+  const uint64_t a = 1, b = 2;
+  InsertKey(cache, a);
+  InsertKey(cache, b);  // window: [a, b], a is the LRU candidate
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      uint64_t out[2];
+      for (int i = 0; i < 8; ++i) EXPECT_TRUE(cache.Lookup(a, out));
+    });
+  }
+  for (auto& th : readers) th.join();
+
+  // Recency: the drain moves a to the window's MRU end, so b (no hits) is
+  // the candidate that loses the admission duel (tie keeps the incumbent).
+  InsertKey(cache, 3);
+  uint64_t out[2];
+  EXPECT_FALSE(cache.Lookup(b, out)) << "buffered hits were not applied as recency";
+  // Frequency: a is the next candidate; its buffered hits beat the main
+  // region's victim, which had none.
+  InsertKey(cache, 4);
+  EXPECT_FALSE(cache.Lookup(1000, out));
+  EXPECT_TRUE(cache.Lookup(a, out)) << "buffered hits were not applied as frequency";
+  EXPECT_EQ(out[0], W0(a));
+}
+
 TEST(Word2CacheTest, LockedProbeArmCountsLocks) {
   // Sanity for the hook itself: the bench's locked_probe arm must register.
   CacheOptions options = SmallOptions(64);

@@ -439,5 +439,34 @@ TEST_F(BatchCombinerTest, ProbeResultCacheAnswersHitsWithoutParking) {
   EXPECT_EQ(client.stats().result_misses, 1u);
 }
 
+TEST_F(BatchCombinerTest, ProbeModeAnswersUnknownSubscriptionWithoutParking) {
+  // A server-owned combiner in front of a push-mode client with no disk
+  // mirror: an unknown subscription's no-prediction is final in the
+  // snapshot, so it returns before the fast path or any window.
+  rc::store::KvStore store;
+  OfflinePipeline::Publish(*trained_, store);
+  rc::common::VirtualClock clock;
+  ClientConfig config;
+  config.clock = &clock;
+  Client client(&store, config);
+  ASSERT_TRUE(client.Initialize());
+
+  BatchCombinerConfig cc;
+  cc.probe_result_cache = true;
+  cc.clock = &clock;
+  BatchCombiner combiner(&client, cc);
+
+  ClientInputs unknown = ServableInputs(1)[0];
+  unknown.subscription_id = 987'654'321;
+  CombineResult none = combiner.Predict(kModel, unknown);
+  ASSERT_TRUE(none.ok);
+  EXPECT_EQ(none.flush, CombineFlush::kNoPrediction);
+  EXPECT_FALSE(none.prediction.valid);
+  EXPECT_EQ(combiner.pending(), 0u);
+  EXPECT_EQ(clock.NowUs(), 0);
+  EXPECT_EQ(client.stats().no_predictions, 1u);
+  EXPECT_EQ(client.metrics().GetCounter("rc_combiner_fast_path").Value(), 0u);
+}
+
 }  // namespace
 }  // namespace rc::core

@@ -6,7 +6,6 @@
 #include "src/core/client.h"
 
 #include <chrono>
-#include <filesystem>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include "src/common/faults.h"
 #include "src/core/offline_pipeline.h"
 #include "src/trace/workload_model.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace rc::core {
 namespace {
@@ -45,14 +45,10 @@ class ClientDegradationTest : public ::testing::Test {
     faults::Registry::Global().DisarmAll();
     store_ = std::make_unique<KvStore>();
     OfflinePipeline::Publish(*trained_, *store_);
-    disk_dir_ = ::testing::TempDir() + "/rc_degradation_test_" +
-                ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(disk_dir_);
   }
 
   void TearDown() override {
     faults::Registry::Global().DisarmAll();
-    std::filesystem::remove_all(disk_dir_);
   }
 
   // A spread of inputs over known subscriptions, for comparing prediction
@@ -91,7 +87,8 @@ class ClientDegradationTest : public ::testing::Test {
   static const Trace* trace_;
   static const TrainedModels* trained_;
   std::unique_ptr<KvStore> store_;
-  std::string disk_dir_;
+  rc::testing::ScopedTempDir temp_;
+  const std::string disk_dir_ = temp_.path().string();
 };
 
 const Trace* ClientDegradationTest::trace_ = nullptr;

@@ -5,7 +5,9 @@
 #include "src/core/client.h"
 
 #include <chrono>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "src/core/offline_pipeline.h"
 #include "src/obs/export.h"
 #include "src/trace/workload_model.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace rc::core {
 namespace {
@@ -55,6 +58,17 @@ class ClientMetricsTest : public ::testing::Test {
     }
     ADD_FAILURE() << "no VM with feature data";
     return {};
+  }
+
+  // A subscription the published feature data does not know.
+  ClientInputs UnknownInput(uint64_t i) const {
+    ClientInputs inputs = KnownInput();
+    inputs.subscription_id = 900'000'000 + i;
+    return inputs;
+  }
+
+  static uint64_t Count(const Client& client, std::string_view name) {
+    return client.metrics().GetCounter(name).Value();
   }
 
   static const Trace* trace_;
@@ -164,6 +178,92 @@ TEST_F(ClientMetricsTest, LatencySamplingCanBeDisabled) {
   EXPECT_EQ(
       client.metrics().GetHistogram("rc_client_predict_latency_us").TakeSnapshot().count,
       0u);
+}
+
+// The paper's no-prediction case in push mode with no disk mirror: there is
+// nothing to fetch, so the snapshot answers and no ClientState is copied or
+// published, on every path that reaches the miss.
+TEST_F(ClientMetricsTest, UnknownSubscriptionsInPushModePublishNoState) {
+  Client client(store_.get(), ClientConfig{});
+  ASSERT_TRUE(client.Initialize());
+  const ClientInputs known = KnownInput();
+  const Prediction known_answer = client.PredictSingle("VM_P95UTIL", known);
+  ASSERT_TRUE(known_answer.valid);
+  const uint64_t publishes = Count(client, "rc_client_state_publishes");
+  EXPECT_EQ(publishes, 1u);  // Initialize's load
+  const uint64_t none_before = Count(client, "rc_client_no_predictions");
+
+  for (uint64_t i = 0; i < 10'000; ++i) {
+    ASSERT_FALSE(client.PredictSingle("VM_P95UTIL", UnknownInput(i % 64)).valid);
+  }
+  EXPECT_EQ(Count(client, "rc_client_no_predictions"), none_before + 10'000);
+
+  // PredictMany: unknown rows take the slow partition, known rows the batch.
+  const std::vector<ClientInputs> batch = {known, UnknownInput(1), known, UnknownInput(2)};
+  for (int i = 0; i < 1'000; ++i) {
+    const std::vector<Prediction> out = client.PredictMany("VM_P95UTIL", batch);
+    ASSERT_EQ(out.size(), batch.size());
+    for (size_t r : {0u, 2u}) {
+      ASSERT_TRUE(out[r].valid);
+      EXPECT_EQ(out[r].bucket, known_answer.bucket);
+      EXPECT_EQ(out[r].score, known_answer.score);
+    }
+    ASSERT_FALSE(out[1].valid);
+    ASSERT_FALSE(out[3].valid);
+  }
+  EXPECT_EQ(Count(client, "rc_client_no_predictions"), none_before + 12'000);
+
+  // PredictMany for a model the snapshot lacks: every row is a final miss.
+  for (const Prediction& p : client.PredictMany("NOT_A_MODEL", batch)) EXPECT_FALSE(p.valid);
+  EXPECT_EQ(Count(client, "rc_client_no_predictions"), none_before + 12'004);
+  EXPECT_EQ(Count(client, "rc_client_state_publishes"), publishes);
+}
+
+// Pull mode and a disk mirror can still fill a miss, so those misses keep the
+// locked fill path: each one copies and publishes the state.
+TEST_F(ClientMetricsTest, UnknownSubscriptionsStillFillInPullModeAndWithDiskMirror) {
+  const rc::testing::ScopedTempDir disk;
+  ClientConfig pull;
+  pull.mode = CacheMode::kPull;
+  ClientConfig mirrored;
+  mirrored.disk_cache_dir = disk.path().string();
+  for (const ClientConfig& config : {pull, mirrored}) {
+    Client client(store_.get(), config);
+    ASSERT_TRUE(client.Initialize());
+    const ClientInputs known = KnownInput();
+    ASSERT_TRUE(client.PredictSingle("VM_P95UTIL", known).valid);
+    const uint64_t publishes = Count(client, "rc_client_state_publishes");
+    const uint64_t none_before = Count(client, "rc_client_no_predictions");
+    for (uint64_t i = 0; i < 10; ++i) {
+      EXPECT_FALSE(client.PredictSingle("VM_P95UTIL", UnknownInput(i)).valid);
+    }
+    EXPECT_EQ(Count(client, "rc_client_state_publishes"), publishes + 10);
+    const std::vector<ClientInputs> batch = {known, UnknownInput(1)};
+    const std::vector<Prediction> out = client.PredictMany("VM_P95UTIL", batch);
+    EXPECT_TRUE(out[0].valid);
+    EXPECT_FALSE(out[1].valid);
+    EXPECT_EQ(Count(client, "rc_client_state_publishes"), publishes + 11);
+    EXPECT_EQ(Count(client, "rc_client_no_predictions"), none_before + 11);
+  }
+}
+
+// A final no-prediction is answered before the client's combiner: it never
+// enters (or parks in) a coalescing window.
+TEST_F(ClientMetricsTest, UnknownSubscriptionNeverEntersTheCombiner) {
+  ClientConfig config;
+  config.combiner.enabled = true;
+  Client client(store_.get(), config);
+  ASSERT_TRUE(client.Initialize());
+  for (uint64_t i = 0; i < 100; ++i) {
+    EXPECT_FALSE(client.PredictSingle("VM_P95UTIL", UnknownInput(i)).valid);
+  }
+  EXPECT_FALSE(client.PredictSingle("NOT_A_MODEL", KnownInput()).valid);
+  EXPECT_EQ(Count(client, "rc_combiner_requests"), 0u);
+  EXPECT_EQ(Count(client, "rc_client_no_predictions"), 101u);
+  EXPECT_EQ(Count(client, "rc_client_state_publishes"), 1u);
+  // A servable miss still goes through the combiner.
+  EXPECT_TRUE(client.PredictSingle("VM_P95UTIL", KnownInput()).valid);
+  EXPECT_EQ(Count(client, "rc_combiner_requests"), 1u);
 }
 
 }  // namespace

@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "src/core/offline_pipeline.h"
 #include "src/trace/workload_model.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace rc::core {
 namespace {
@@ -38,12 +38,7 @@ class ClientTest : public ::testing::Test {
   void SetUp() override {
     store_ = std::make_unique<KvStore>();
     OfflinePipeline::Publish(*trained_, *store_);
-    disk_dir_ = ::testing::TempDir() + "/rc_client_test_" +
-                ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(disk_dir_);
   }
-
-  void TearDown() override { std::filesystem::remove_all(disk_dir_); }
 
   // Inputs for a subscription that exists in the published feature data.
   ClientInputs KnownInputs() const {
@@ -60,7 +55,8 @@ class ClientTest : public ::testing::Test {
   static const Trace* trace_;
   static const TrainedModels* trained_;
   std::unique_ptr<KvStore> store_;
-  std::string disk_dir_;
+  rc::testing::ScopedTempDir temp_;
+  const std::string disk_dir_ = temp_.path().string();
 };
 
 const Trace* ClientTest::trace_ = nullptr;

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "tests/scoped_temp_dir.h"
 
 namespace rc::obs {
 namespace {
@@ -77,11 +78,7 @@ TEST(JsonTextTest, EmptyRegistryRendersEmptyObject) {
 
 class TempFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "rc_obs_export_test.json";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void SetUp() override { path_ = dir_.File("rc_obs_export_test.json"); }
 
   std::string ReadFile() const {
     std::ifstream in(path_);
@@ -90,6 +87,7 @@ class TempFileTest : public ::testing::Test {
     return buffer.str();
   }
 
+  rc::testing::ScopedTempDir dir_;
   std::string path_;
 };
 

@@ -5,17 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/scoped_temp_dir.h"
+
 namespace rc::store {
 namespace {
 
 class DiskCacheTest : public ::testing::Test {
  protected:
-  DiskCacheTest() : dir_(::testing::TempDir() + "/rc_disk_cache_test") {
-    std::filesystem::remove_all(dir_);
-  }
-  ~DiskCacheTest() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
+  rc::testing::ScopedTempDir temp_;
+  const std::filesystem::path dir_ = temp_.path();
 };
 
 VersionedBlob Blob(uint64_t version, std::initializer_list<uint8_t> data) {

@@ -11,6 +11,7 @@
 #include "src/common/faults.h"
 #include "src/store/disk_cache.h"
 #include "src/store/kv_store.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace rc::store {
 namespace {
@@ -143,13 +144,8 @@ TEST_F(StoreFaultsTest, InjectedLatencyDelaysReads) {
 
 class DiskCacheFaultsTest : public StoreFaultsTest {
  protected:
-  DiskCacheFaultsTest()
-      : dir_(std::filesystem::temp_directory_path() / "rc_disk_faults_test") {
-    std::filesystem::remove_all(dir_);
-  }
-  ~DiskCacheFaultsTest() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
+  rc::testing::ScopedTempDir temp_;
+  const std::filesystem::path dir_ = temp_.path();
 };
 
 TEST_F(DiskCacheFaultsTest, WriteErrorLeavesNoEntry) {

@@ -6,6 +6,7 @@
 
 #include "src/trace/utilization.h"
 #include "src/trace/workload_model.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace rc::trace {
 namespace {
@@ -102,7 +103,8 @@ TEST(TraceIoTest, WriteReadingsHasHeaderAndRows) {
 
 TEST(TraceIoTest, FileRoundTrip) {
   Trace original = SmallTrace();
-  std::string path = ::testing::TempDir() + "/trace_io_test.csv";
+  const rc::testing::ScopedTempDir dir;
+  const std::string path = dir.File("trace_io_test.csv");
   WriteVmTableFile(original, path);
   Trace restored = ReadVmTableFile(path, original.observation_window());
   EXPECT_EQ(restored.vm_count(), original.vm_count());

@@ -14,8 +14,22 @@ echo "== plain build =="
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 
-echo "== ctest =="
-ctest --test-dir "${BUILD_DIR}" -j"$(nproc)" --output-on-failure
+echo "== ctest (in parallel, each test three times) =="
+# Every case runs as its own process beside its siblings, three times over,
+# so an order- or timing-dependent test fails here rather than in a later run.
+ctest --test-dir "${BUILD_DIR}" -j"$(nproc)" --repeat until-fail:3 --output-on-failure
+
+echo "== test temp-path lint =="
+# Tests take scratch space from rc::testing::ScopedTempDir
+# (tests/scoped_temp_dir.h), unique per process and per test. A fixed temp
+# path is shared by sibling test processes under ctest -j, which remove it
+# under each other.
+if grep -rnE 'temp_directory_path|TempDir\(\)|"/tmp' "${REPO_ROOT}/tests" \
+    | grep -v "^${REPO_ROOT}/tests/scoped_temp_dir.h:"; then
+  echo "FAIL: fixed temp path under tests/ (use rc::testing::ScopedTempDir)" >&2
+  exit 1
+fi
+echo "no fixed temp paths under tests/."
 
 echo "== exec-engine parity (scalar / avx2 / quantized walks) =="
 "${BUILD_DIR}/bench/perf_exec_engine" --dispatch
@@ -56,6 +70,7 @@ REQUIRED_FAMILIES=(
   rc_client_predict_latency_us
   rc_client_store_read_latency_us
   rc_client_degraded_reason
+  rc_client_state_publishes
   rc_client_breaker_trips
   rc_client_model_bytes
   rc_store_puts
