@@ -1,16 +1,14 @@
 // Execution-engine performance: single-example vs batched inference through
-// the compiled SoA node pool, legacy AoS traversal as the baseline, on
-// Table-1-sized models (RF: 48 trees x depth 14 on ~127 features; GBT: 60
-// rounds on ~24 features). Reports per-call p50/p99 and examples/sec at
-// batch sizes 1/8/64/512, verifies the engine hot loops allocate nothing,
-// and writes the series to BENCH_exec_engine.json.
+// the compiled SoA node pool on Table-1-sized models (RF: 48 trees x depth 14
+// on ~127 features; GBT: 60 rounds on ~24 features). Reports per-call
+// p50/p99 and examples/sec at batch sizes 1/8/64/512, verifies the engine
+// hot loops allocate nothing, and writes the series to
+// BENCH_exec_engine.json.
 //
-// --compare runs the walk-mode arms instead: scalar vs AVX2 vs quantized at
-// batch 64 on identical inputs, reporting per-arm rows/s, per-model pool
-// bytes (f64 vs quantized — the cache-residency claim), and speedup vs the
-// scalar lockstep walk, all merged into BENCH_exec_engine.json. The AVX2
-// arm is verified bit-exact against scalar and the quantized arm within
-// tolerance before any timing is trusted.
+// --compare runs the walk-mode arms instead: scalar vs AVX2 at batch 64 on
+// identical inputs, reporting per-arm rows/s and speedup vs the scalar
+// lockstep walk, merged into BENCH_exec_engine.json. The AVX2 arm is
+// verified bit-exact against scalar before any timing is trusted.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -97,12 +95,10 @@ struct Series {
 };
 
 // Times `calls` invocations of `fn`, each covering `examples_per_call`
-// examples; asserts the timed region performed zero heap allocations when
-// `expect_no_alloc` (the engine paths; the legacy baseline allocates by
-// design).
+// examples; asserts the timed region performed zero heap allocations.
 template <typename Fn>
-Series Measure(size_t calls, size_t examples_per_call, bool expect_no_alloc,
-               const std::string& what, bool& alloc_check_ok, Fn&& fn) {
+Series Measure(size_t calls, size_t examples_per_call, const std::string& what,
+               bool& alloc_check_ok, Fn&& fn) {
   for (size_t i = 0; i < 32; ++i) fn(i);  // warm caches and arenas
   std::vector<double> micros;
   micros.reserve(calls);
@@ -119,7 +115,7 @@ Series Measure(size_t calls, size_t examples_per_call, bool expect_no_alloc,
   // was insufficient; it was sized exactly, so the loop's only allocations
   // are fn's own.
   uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - allocs_before;
-  if (expect_no_alloc && allocs != 0) {
+  if (allocs != 0) {
     std::cerr << "ALLOCATION REGRESSION: " << what << " allocated " << allocs
               << " times in " << calls << " calls (expected 0)\n";
     alloc_check_ok = false;
@@ -146,7 +142,7 @@ void Record(rc::obs::MetricsRegistry& reg, const std::string& model,
       .Set(s.examples_per_sec);
 }
 
-// Runs the full single/batched/legacy grid for one model; returns the
+// Runs the full single/batched grid for one model; returns the
 // batch-64 vs compiled-single throughput ratio (the acceptance criterion).
 template <typename Model>
 double RunModel(const std::string& name, const Model& model, size_t features,
@@ -165,17 +161,8 @@ double RunModel(const std::string& name, const Model& model, size_t features,
                   TablePrinter::Fmt(s.examples_per_sec / 1000.0, 0) + " k/s"});
   };
 
-  Series legacy = Measure(
-      4000, 1, /*expect_no_alloc=*/false, name + "/legacy", alloc_check_ok,
-      [&](size_t i) {
-        auto p = model.PredictProbaLegacy({&X[(i % kPool) * features], features});
-        benchmark_do_not_optimize(p.data());
-      });
-  add_row("legacy-single", legacy);
-
   Series single = Measure(
-      4000, 1, /*expect_no_alloc=*/true, name + "/compiled-single", alloc_check_ok,
-      [&](size_t i) {
+      4000, 1, name + "/compiled-single", alloc_check_ok, [&](size_t i) {
         engine.PredictInto({&X[(i % kPool) * features], features}, {proba.data(), k});
         benchmark_do_not_optimize(proba.data());
       });
@@ -185,8 +172,8 @@ double RunModel(const std::string& name, const Model& model, size_t features,
   for (size_t batch : {size_t{1}, size_t{8}, size_t{64}, size_t{512}}) {
     size_t calls = std::max<size_t>(64, 4000 / batch);
     Series s = Measure(
-        calls, batch, /*expect_no_alloc=*/true,
-        name + "/batch" + std::to_string(batch), alloc_check_ok, [&](size_t i) {
+        calls, batch, name + "/batch" + std::to_string(batch), alloc_check_ok,
+        [&](size_t i) {
           size_t offset = (i * batch) % (kPool - batch + 1);
           engine.PredictBatch(&X[offset * features], batch, features, proba.data());
           benchmark_do_not_optimize(proba.data());
@@ -218,9 +205,9 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
   std::vector<double> proba(kBatch * k);
 
   // Cross-arm parity on one deterministic batch before timing anything:
-  // AVX2 must match scalar bit-for-bit, quantized within leaf-table
-  // tolerance (the parity suites assert this exhaustively; the bench
-  // re-checks so a reported speedup can never come from a wrong answer).
+  // AVX2 must match scalar bit-for-bit (the parity suites assert this
+  // exhaustively; the bench re-checks so a reported speedup can never come
+  // from a wrong answer).
   {
     std::vector<double> scalar_out(kBatch * k), arm_out(kBatch * k);
     engine.PredictBatch(X.data(), kBatch, features, scalar_out.data(),
@@ -234,16 +221,6 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
         break;
       }
     }
-    engine.PredictBatch(X.data(), kBatch, features, arm_out.data(),
-                        ExecEngine::Mode::kQuantized);
-    for (size_t i = 0; i < scalar_out.size(); ++i) {
-      if (!(std::fabs(scalar_out[i] - arm_out[i]) <= 1e-3)) {
-        std::cerr << "PARITY FAILURE: quantized arm off by "
-                  << std::fabs(scalar_out[i] - arm_out[i]) << " at " << i << "\n";
-        parity_ok = false;
-        break;
-      }
-    }
   }
 
   struct Arm {
@@ -251,15 +228,14 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
     const char* label;
   };
   const Arm arms[] = {{ExecEngine::Mode::kScalar, "scalar"},
-                      {ExecEngine::Mode::kAvx2, "avx2"},
-                      {ExecEngine::Mode::kQuantized, "quantized"}};
+                      {ExecEngine::Mode::kAvx2, "avx2"}};
   double scalar_rows = 0.0;
   double avx2_ratio = 0.0;
   for (const Arm& arm : arms) {
     const size_t calls = 2000;
     Series s = Measure(
-        calls, kBatch, /*expect_no_alloc=*/true,
-        name + "/compare-" + arm.label, alloc_check_ok, [&](size_t i) {
+        calls, kBatch, name + "/compare-" + arm.label, alloc_check_ok,
+        [&](size_t i) {
           size_t offset = (i * kBatch) % (kPool - kBatch + 1);
           engine.PredictBatch(&X[offset * features], kBatch, features,
                               proba.data(), arm.mode);
@@ -269,9 +245,6 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
     const double speedup =
         scalar_rows > 0.0 ? s.examples_per_sec / scalar_rows : 0.0;
     if (arm.mode == ExecEngine::Mode::kAvx2) avx2_ratio = speedup;
-    const size_t pool_bytes = arm.mode == ExecEngine::Mode::kQuantized
-                                  ? engine.quantized_bytes()
-                                  : engine.bytes();
     rc::obs::Labels labels{{"model", name}, {"arm", arm.label}};
     reg.GetGauge("rc_bench_exec_engine_compare_rows_per_sec", labels,
                  "batch-64 rows/s per walk-mode arm")
@@ -279,22 +252,16 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
     reg.GetGauge("rc_bench_exec_engine_compare_speedup", labels,
                  "throughput vs the scalar lockstep walk")
         .Set(speedup);
-    reg.GetGauge("rc_bench_exec_engine_model_bytes",
-                 {{"model", name},
-                  {"pool", arm.mode == ExecEngine::Mode::kQuantized ? "quantized" : "f64"}},
-                 "walked pool + leaf tables (bytes)")
-        .Set(static_cast<double>(pool_bytes));
     table.AddRow({name, std::string(arm.label) + " (runs " +
                             ExecEngine::ModeName(engine.Resolve(arm.mode)) + ")",
                   TablePrinter::Fmt(s.examples_per_sec / 1000.0, 0) + " k rows/s",
-                  TablePrinter::Fmt(static_cast<double>(pool_bytes) / 1024.0, 0) + " KiB",
                   TablePrinter::Fmt(speedup, 2) + "x"});
   }
   return avx2_ratio;
 }
 
 int RunCompareMain() {
-  rc::bench::Banner("Execution engine: scalar vs AVX2 vs quantized walk",
+  rc::bench::Banner("Execution engine: scalar vs AVX2 walk",
                     "batch 64, identical inputs (DESIGN.md)");
   rc::obs::MetricsRegistry registry;
   Rng rng(42);
@@ -323,33 +290,17 @@ int RunCompareMain() {
   rc::ml::GradientBoostedTrees gbt =
       rc::ml::GradientBoostedTrees::Fit(gbt_data, gbt_config);
 
-  TablePrinter table({"model", "arm", "throughput", "pool bytes", "vs scalar"});
+  TablePrinter table({"model", "arm", "throughput", "vs scalar"});
   double rf_ratio = RunCompare("rf", forest, kRfFeatures, registry, table, rng,
                                alloc_check_ok, parity_ok);
   double gbt_ratio = RunCompare("gbt", gbt, kGbtFeatures, registry, table, rng,
                                 alloc_check_ok, parity_ok);
   table.Print(std::cout);
 
-  auto pool_ratio = [](const ExecEngine& e) {
-    return e.bytes() > 0 ? static_cast<double>(e.quantized_bytes()) /
-                               static_cast<double>(e.bytes())
-                         : 0.0;
-  };
   std::cout << "\navx2 batch-64 vs scalar lockstep: rf "
             << TablePrinter::Fmt(rf_ratio, 2) << "x, gbt "
             << TablePrinter::Fmt(gbt_ratio, 2)
             << "x (acceptance: >= 1.5x)\n";
-  std::cout << "quantized pool vs f64 pool bytes: rf "
-            << TablePrinter::Fmt(pool_ratio(*forest.engine()), 2) << "x, gbt "
-            << TablePrinter::Fmt(pool_ratio(*gbt.engine()), 2)
-            << "x (acceptance: <= 0.5x); bin tables (off the per-node hot "
-               "path): rf "
-            << TablePrinter::Fmt(
-                   static_cast<double>(forest.engine()->bin_table_bytes()) / 1024.0, 0)
-            << " KiB, gbt "
-            << TablePrinter::Fmt(
-                   static_cast<double>(gbt.engine()->bin_table_bytes()) / 1024.0, 0)
-            << " KiB\n";
   std::cout << "engine hot loops: "
             << (alloc_check_ok ? "0 allocations, as designed"
                                : "ALLOCATION CHECK FAILED")

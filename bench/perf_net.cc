@@ -11,9 +11,9 @@
 // way distinct fabric controllers would. Results are aggregated over pipes
 // and written to BENCH_net.json.
 //
-// --combiner off|shared|worker selects the server's cross-request batching
-// mode (DESIGN.md "Cross-request batching"); --compare runs the same load
-// twice — combiner off, then the selected mode — against one trained model
+// --combiner off|shared selects the server's cross-request batching mode
+// (DESIGN.md "Cross-request batching"); --compare runs the same load
+// twice — combiner off, then the shared combiner — against one trained model
 // set and reports the throughput speedup. The combiner acceptance runs with
 // --cache off --keys 1 --many-ratio 0: a single hot key, no result cache,
 // all singles, so every request reaches the execution engine and coalescing
@@ -86,9 +86,6 @@ struct Options {
   size_t combiner_max_batch = 64;  // flush-on-full threshold
   bool cache = true;      // server-side result cache (off isolates execution)
   bool compare = false;   // run combiner-off then --combiner mode, same load
-  // ExecEngine walk serving the server's predictions (auto/scalar/avx2/
-  // quantized); lets the net bench A/B the engine modes end-to-end.
-  rc::ml::ExecEngine::Mode engine_mode = rc::ml::ExecEngine::Mode::kAuto;
   // Ensemble size overrides (0 = bench defaults). The combiner acceptance
   // uses large forests so execution dominates the request path — that is the
   // regime where coalescing duplicate work is supposed to pay.
@@ -198,7 +195,6 @@ bool RecvResult(int fd, LoadResult* r) {
   rc::obs::MetricsRegistry registry;
   rc::core::ClientConfig client_config;
   client_config.metrics = &registry;
-  client_config.engine_mode = opt.engine_mode;
   if (!opt.cache) client_config.result_cache_capacity = 0;
   rc::core::Client client(&store, client_config);
   if (!client.Initialize()) _exit(4);
@@ -362,7 +358,6 @@ const char* ModeName(rc::net::CombinerMode mode) {
   switch (mode) {
     case rc::net::CombinerMode::kOff: return "off";
     case rc::net::CombinerMode::kShared: return "shared";
-    case rc::net::CombinerMode::kPerWorker: return "worker";
   }
   return "?";
 }
@@ -526,9 +521,8 @@ int main(int argc, char** argv) {
       std::string mode = next();
       if (mode == "off") opt.combiner = rc::net::CombinerMode::kOff;
       else if (mode == "shared") opt.combiner = rc::net::CombinerMode::kShared;
-      else if (mode == "worker") opt.combiner = rc::net::CombinerMode::kPerWorker;
       else {
-        std::cerr << "--combiner must be off, shared, or worker\n";
+        std::cerr << "--combiner must be off or shared\n";
         return 2;
       }
     } else if (std::strcmp(argv[i], "--combiner-wait-us") == 0) {
@@ -551,13 +545,6 @@ int main(int argc, char** argv) {
         std::cerr << "--cache must be on or off\n";
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--engine-mode") == 0) {
-      auto parsed = rc::ml::ExecEngine::ParseMode(next());
-      if (!parsed) {
-        std::cerr << "--engine-mode must be auto, scalar, avx2, or quantized\n";
-        return 2;
-      }
-      opt.engine_mode = *parsed;
     } else if (std::strcmp(argv[i], "--compare") == 0) {
       opt.compare = true;
     } else if (std::strcmp(argv[i], "--admin-scrape") == 0) {
@@ -569,10 +556,9 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: perf_net [--vms N] [--procs L] [--threads T] [--workers W]\n"
                    "                [--duration-s S] [--keys K] [--zipf S] [--many-ratio R]\n"
-                   "                [--batch B] [--models 1|2] [--combiner off|shared|worker]\n"
+                   "                [--batch B] [--models 1|2] [--combiner off|shared]\n"
                    "                [--combiner-wait-us U] [--cache on|off] [--compare]\n"
-                   "                [--trees N] [--gbt-rounds N] [--admin-scrape]\n"
-                   "                [--engine-mode auto|scalar|avx2|quantized]\n";
+                   "                [--trees N] [--gbt-rounds N] [--admin-scrape]\n";
       return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
     }
   }

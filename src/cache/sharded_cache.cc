@@ -225,12 +225,6 @@ bool Word2Cache::Lookup(uint64_t key, uint64_t out[2]) const {
   if (shard_capacity_ == 0) return false;
   const uint64_t h = HashU64(key);
   Shard& s = ShardFor(h);
-  std::unique_lock<std::mutex> locked;
-  if (options_.locked_probe) {
-    // Bench arm only: reintroduce the old locked probe layout.
-    g_shard_lock_count.fetch_add(1, kRelaxed);
-    locked = std::unique_lock<std::mutex>(s.mu);
-  }
   std::atomic<uint8_t>* ctrl = s.ctrl.load(kAcquire);
   if (ctrl == nullptr) return false;  // shard never written
   Slot* slots = s.slots.load(kRelaxed);  // published before ctrl

@@ -53,7 +53,7 @@
 namespace rc::cache {
 
 // Test hook: process-wide count of shard writer-mutex acquisitions (every
-// Insert / Invalidate / locked probe). Tests assert a warm hit storm leaves
+// Insert / Invalidate). Tests assert a warm hit storm leaves
 // this unchanged — the "zero mutex acquisitions on the hit path" criterion.
 uint64_t ShardLockAcquisitions();
 
@@ -71,9 +71,6 @@ struct CacheOptions {
   double window_fraction = 0.01;
   // Share of the main region reserved for the protected segment.
   double protected_fraction = 0.80;
-  // Bench arm: take the shard mutex around every lookup, turning the probe
-  // into the old locked layout — isolates what lock-freedom itself buys.
-  bool locked_probe = false;
   // Registry receiving the rc_cache_* instruments; null = a private one.
   rc::obs::MetricsRegistry* metrics = nullptr;
   rc::obs::Labels metric_labels;
@@ -100,7 +97,7 @@ class Word2Cache {
   Word2Cache(const Word2Cache&) = delete;
   Word2Cache& operator=(const Word2Cache&) = delete;
 
-  // Lock-free on hit (unless options.locked_probe). Fills out[2] and
+  // Lock-free on hit. Fills out[2] and
   // buffers the access for the next Insert into the shard to apply.
   bool Lookup(uint64_t key, uint64_t out[2]) const;
 

@@ -389,13 +389,11 @@ Client::IngestResult Client::IngestLocked(ClientState& state, const std::string&
       }
       entry->model = rc::ml::Classifier::DeserializeTagged(blob.data);
       // DeserializeTagged compiled the engine on this (load) path; pin the
-      // pointer so the batch hot path skips the virtual engine() lookup, and
-      // stamp the configured walk mode so Execute never consults the config.
+      // pointer so the batch hot path skips the virtual engine() lookup.
       entry->engine = entry->model->engine();
-      entry->mode = EngineModeFor(name);
       entry->blob_version = blob.version;
       entry->loaded_at_ns = rc::obs::NowNs();
-      if (entry->engine != nullptr) ExportModelBytes(name, *entry->engine);
+      ExportModelBytes(name, *entry->engine);
       // The spec may arrive before or after the model; featurizer is built
       // when both are present.
       if (!entry->spec.name.empty() && entry->featurizer == nullptr) {
@@ -410,7 +408,6 @@ Client::IngestResult Client::IngestLocked(ClientState& state, const std::string&
         entry->model = it->second->model;
         entry->engine = it->second->engine;
       }
-      entry->mode = EngineModeFor(spec.name);
       entry->blob_version = blob.version;
       entry->loaded_at_ns = rc::obs::NowNs();
       entry->spec = spec;
@@ -533,40 +530,18 @@ Prediction Client::Execute(const ClientState& state, const LoadedModel& entry,
   }
   m_.model_executions->Increment();
   rc::obs::TraceSpan execute_span("client/execute");
-  // Compiled models run the engine directly so the stamped walk mode
-  // applies; the virtual path serves classifier types without an engine.
-  const auto scored =
-      entry.engine != nullptr
-          ? entry.engine->PredictScored(row, proba, entry.mode)
-          : entry.model->PredictScored(row, proba);
+  const auto scored = entry.engine->PredictScored(row, proba);
   return Prediction::Of(scored.label, scored.score);
-}
-
-rc::ml::ExecEngine::Mode Client::EngineModeFor(const std::string& name) const {
-  if (auto it = config_.engine_mode_overrides.find(name);
-      it != config_.engine_mode_overrides.end()) {
-    return it->second;
-  }
-  return config_.engine_mode;
 }
 
 void Client::ExportModelBytes(const std::string& name,
                               const rc::ml::ExecEngine& engine) {
   // Ingest path (writer-locked, rare), so get-or-create per model is fine.
-  auto labeled = [&](const char* pool) {
-    rc::obs::Labels labels = config_.metric_labels;
-    labels.emplace_back("model", name);
-    labels.emplace_back("pool", pool);
-    return labels;
-  };
-  metrics_->GetGauge("rc_client_model_bytes", labeled("f64"),
+  rc::obs::Labels labels = config_.metric_labels;
+  labels.emplace_back("model", name);
+  metrics_->GetGauge("rc_client_model_bytes", labels,
                      "compiled node pool + leaf table bytes")
       .Set(static_cast<double>(engine.bytes()));
-  if (engine.has_quantized()) {
-    metrics_->GetGauge("rc_client_model_bytes", labeled("quantized"),
-                       "u16 quantized pool + leaf table bytes")
-        .Set(static_cast<double>(engine.quantized_bytes()));
-  }
 }
 
 Prediction Client::PredictSingle(const std::string& model_name, const ClientInputs& inputs) {
@@ -804,12 +779,7 @@ std::vector<Prediction> Client::PredictMany(const std::string& model_name,
     }
     {
       rc::obs::TraceSpan exec_span("client/exec_batch");
-      if (model->engine != nullptr) {
-        model->engine->PredictBatch(X.data(), unique_rows.size(), nf,
-                                    proba.data(), model->mode);
-      } else {
-        model->model->PredictBatch(X.data(), unique_rows.size(), nf, proba.data());
-      }
+      model->engine->PredictBatch(X.data(), unique_rows.size(), nf, proba.data());
     }
     m_.model_executions->Increment(unique_rows.size());
     std::vector<Prediction> scored(unique_rows.size());

@@ -120,42 +120,13 @@ std::vector<double> GradientBoostedTrees::PredictProba(std::span<const double> x
   return probs;
 }
 
-void GradientBoostedTrees::PredictInto(std::span<const double> x,
-                                       std::span<double> out) const {
-  if (engine_ != nullptr) {
-    engine_->PredictInto(x, out);
-    return;
-  }
-  auto probs = PredictProbaLegacy(x);
-  std::copy(probs.begin(), probs.end(), out.begin());
+void GradientBoostedTrees::PredictInto(std::span<const double> x, std::span<double> out) const {
+  engine_->PredictInto(x, out);
 }
 
 void GradientBoostedTrees::PredictBatch(const double* X, size_t n, size_t stride,
                                         double* proba_out) const {
-  if (engine_ != nullptr) {
-    engine_->PredictBatch(X, n, stride, proba_out);
-    return;
-  }
-  Classifier::PredictBatch(X, n, stride, proba_out);
-}
-
-std::vector<double> GradientBoostedTrees::PredictProbaLegacy(
-    std::span<const double> x) const {
-  const bool binary = (num_classes_ == 2);
-  if (binary) {
-    double z = base_score_[0];
-    for (const auto& tree : trees_) z += learning_rate_ * tree.PredictValue(x);
-    double p1 = Sigmoid(z);
-    return {1.0 - p1, p1};
-  }
-  std::vector<double> logits(base_score_);
-  const size_t k = static_cast<size_t>(num_classes_);
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    logits[t % k] += learning_rate_ * trees_[t].PredictValue(x);
-  }
-  std::vector<double> probs(k);
-  Softmax(logits, probs);
-  return probs;
+  engine_->PredictBatch(X, n, stride, proba_out);
 }
 
 std::vector<double> GradientBoostedTrees::FeatureImportance() const {
@@ -193,7 +164,7 @@ GradientBoostedTrees GradientBoostedTrees::Deserialize(ByteReader& r) {
   }
   model.learning_rate_ = r.F64();
   model.base_score_ = r.PodVector<double>();
-  // PredictProba indexes base_score_ directly; its size is fixed by the
+  // The engine indexes base_score_ directly; its size is fixed by the
   // class count (1 logit for binary, k for multiclass).
   size_t want_scores = model.num_classes_ == 2 ? 1 : static_cast<size_t>(model.num_classes_);
   if (model.base_score_.size() != want_scores) {

@@ -43,9 +43,6 @@ class GradientBoostedTrees final : public Classifier {
   void PredictBatch(const double* X, size_t n, size_t stride,
                     double* proba_out) const override;
   const ExecEngine* engine() const override { return engine_.get(); }
-  // The original per-tree AoS traversal, kept for the bit-exactness parity
-  // suite (tests/ml/exec_engine_test.cc) — not a hot path.
-  std::vector<double> PredictProbaLegacy(std::span<const double> x) const;
 
   std::vector<double> FeatureImportance() const override;
 
@@ -59,6 +56,9 @@ class GradientBoostedTrees final : public Classifier {
   static GradientBoostedTrees Deserialize(ByteReader& r);
 
  private:
+  // Only Fit and Deserialize construct a model, and both compile its engine,
+  // so engine_ is never null on a live instance.
+  GradientBoostedTrees() = default;
   void CompileEngine();
 
   // K == 2: one tree per round (logistic); K > 2: K trees per round

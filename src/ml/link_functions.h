@@ -1,7 +1,8 @@
-// Link functions shared by the legacy GBT traversal and the compiled
-// ExecEngine. Both paths must produce bit-identical probabilities (the
-// parity suite asserts exact equality), so the final logit->probability
-// arithmetic lives in exactly one place.
+// Link functions shared by GBT training, the compiled ExecEngine and the
+// test-only per-tree reference walk (tests/ml/reference_walk.h). The engine
+// must match that reference bit for bit (the parity suite asserts exact
+// equality), so the final logit->probability arithmetic lives in exactly one
+// place.
 #ifndef RC_SRC_ML_LINK_FUNCTIONS_H_
 #define RC_SRC_ML_LINK_FUNCTIONS_H_
 

@@ -82,33 +82,12 @@ std::vector<double> RandomForest::PredictProba(std::span<const double> x) const 
 }
 
 void RandomForest::PredictInto(std::span<const double> x, std::span<double> out) const {
-  if (engine_ != nullptr) {
-    engine_->PredictInto(x, out);
-    return;
-  }
-  auto probs = PredictProbaLegacy(x);
-  std::copy(probs.begin(), probs.end(), out.begin());
+  engine_->PredictInto(x, out);
 }
 
 void RandomForest::PredictBatch(const double* X, size_t n, size_t stride,
                                 double* proba_out) const {
-  if (engine_ != nullptr) {
-    engine_->PredictBatch(X, n, stride, proba_out);
-    return;
-  }
-  Classifier::PredictBatch(X, n, stride, proba_out);
-}
-
-std::vector<double> RandomForest::PredictProbaLegacy(std::span<const double> x) const {
-  std::vector<double> acc(static_cast<size_t>(num_classes_), 0.0);
-  std::vector<double> one(static_cast<size_t>(num_classes_));
-  for (const auto& tree : trees_) {
-    tree.PredictProba(x, one);
-    for (size_t c = 0; c < acc.size(); ++c) acc[c] += one[c];
-  }
-  double inv = trees_.empty() ? 0.0 : 1.0 / static_cast<double>(trees_.size());
-  for (double& v : acc) v *= inv;
-  return acc;
+  engine_->PredictBatch(X, n, stride, proba_out);
 }
 
 std::vector<double> RandomForest::FeatureImportance() const {

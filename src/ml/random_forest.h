@@ -41,9 +41,6 @@ class RandomForest final : public Classifier {
   void PredictBatch(const double* X, size_t n, size_t stride,
                     double* proba_out) const override;
   const ExecEngine* engine() const override { return engine_.get(); }
-  // The original per-tree AoS traversal, kept for the bit-exactness parity
-  // suite (tests/ml/exec_engine_test.cc) — not a hot path.
-  std::vector<double> PredictProbaLegacy(std::span<const double> x) const;
 
   std::vector<double> FeatureImportance() const override;
 
@@ -55,6 +52,9 @@ class RandomForest final : public Classifier {
   static RandomForest Deserialize(ByteReader& r);
 
  private:
+  // Only Fit and Deserialize construct a model, and both compile its engine,
+  // so engine_ is never null on a live instance.
+  RandomForest() = default;
   void CompileEngine();
 
   std::vector<DecisionTree> trees_;

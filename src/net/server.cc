@@ -72,8 +72,7 @@ Server::Server(rc::core::Client* client, ServerConfig config)
 
 Server::~Server() { Stop(); }
 
-std::unique_ptr<rc::core::BatchCombiner> Server::MakeCombiner(
-    rc::obs::Labels labels) const {
+std::unique_ptr<rc::core::BatchCombiner> Server::MakeCombiner() const {
   rc::core::BatchCombinerConfig cc;
   cc.max_wait_us = config_.combiner_max_wait_us;
   cc.max_batch = config_.combiner_max_batch;
@@ -83,12 +82,8 @@ std::unique_ptr<rc::core::BatchCombiner> Server::MakeCombiner(
   cc.probe_result_cache = true;
   cc.clock = config_.clock;
   cc.metrics = metrics_;
-  cc.metric_labels = std::move(labels);
+  cc.metric_labels = {{"scope", "shared"}};
   return std::make_unique<rc::core::BatchCombiner>(client_, std::move(cc));
-}
-
-rc::core::BatchCombiner* Server::CombinerFor(Worker& worker) const {
-  return worker.combiner != nullptr ? worker.combiner.get() : shared_combiner_.get();
 }
 
 bool Server::Start() {
@@ -119,14 +114,11 @@ bool Server::Start() {
   }
 
   if (config_.combiner_mode == CombinerMode::kShared) {
-    shared_combiner_ = MakeCombiner({{"scope", "shared"}});
+    shared_combiner_ = MakeCombiner();
   }
   int workers = config_.num_workers > 0 ? config_.num_workers : 1;
   for (int i = 0; i < workers; ++i) {
     auto worker = std::make_unique<Worker>();
-    if (config_.combiner_mode == CombinerMode::kPerWorker) {
-      worker->combiner = MakeCombiner({{"scope", "worker"}, {"worker", std::to_string(i)}});
-    }
     worker->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     worker->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (worker->epoll_fd < 0 || worker->wake_fd < 0) {
@@ -168,14 +160,11 @@ void Server::Stop() {
     return;
   }
   stopping_.store(true, std::memory_order_release);
-  // Drain combiners first: a worker thread parked in a combiner window must
-  // be released before its wake_fd write can matter (requests parked at that
+  // Drain the combiner first: a worker thread parked in its window must be
+  // released before its wake_fd write can matter (requests parked at that
   // instant are answered ok=false by the shutdown drain; the handler falls
   // back to a direct PredictSingle, so no frame goes unanswered).
   if (shared_combiner_ != nullptr) shared_combiner_->Shutdown();
-  for (auto& worker : workers_) {
-    if (worker->combiner != nullptr) worker->combiner->Shutdown();
-  }
   for (auto& worker : workers_) {
     uint64_t one = 1;
     (void)WriteEintr(worker->wake_fd, &one, sizeof(one));
@@ -333,12 +322,12 @@ bool Server::ReadReady(Worker& worker, Connection& conn) {
     return false;
   }
   conn.read_dur_ns = rc::obs::NowNs() - conn.read_start_ns;
-  ProcessFrames(worker, conn);
+  ProcessFrames(conn);
   if (!WriteReady(worker, conn)) return false;
   return true;
 }
 
-void Server::ProcessFrames(Worker& worker, Connection& conn) {
+void Server::ProcessFrames(Connection& conn) {
   size_t off = 0;
   while (!conn.want_close && conn.in.size() - off >= kLengthPrefixBytes) {
     uint32_t payload_len;
@@ -354,14 +343,13 @@ void Server::ProcessFrames(Worker& worker, Connection& conn) {
       break;
     }
     if (conn.in.size() - off < kLengthPrefixBytes + payload_len) break;  // partial frame
-    HandleFrame(worker, conn, conn.in.data() + off + kLengthPrefixBytes, payload_len);
+    HandleFrame(conn, conn.in.data() + off + kLengthPrefixBytes, payload_len);
     off += kLengthPrefixBytes + payload_len;
   }
   if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + static_cast<ptrdiff_t>(off));
 }
 
-void Server::HandleFrame(Worker& worker, Connection& conn, const uint8_t* payload,
-                         size_t size) {
+void Server::HandleFrame(Connection& conn, const uint8_t* payload, size_t size) {
   uint64_t start_ns = rc::obs::NowNs();
   m_.requests->Increment();
   rc::ml::ByteReader r(payload, size);
@@ -408,9 +396,9 @@ void Server::HandleFrame(Worker& worker, Connection& conn, const uint8_t* payloa
       status = DecodePredictSingleRequest(r, &req);
       if (status != WireStatus::kOk) break;
       core::Prediction p;
-      rc::core::BatchCombiner* combiner = CombinerFor(worker);
-      if (combiner != nullptr) {
-        rc::core::CombineResult coalesced = combiner->Predict(req.model, req.inputs);
+      if (shared_combiner_ != nullptr) {
+        rc::core::CombineResult coalesced =
+            shared_combiner_->Predict(req.model, req.inputs);
         // ok=false only during Stop()'s drain; answer directly so the frame
         // still gets its response before the connection closes.
         p = coalesced.ok ? coalesced.prediction

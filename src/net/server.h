@@ -40,12 +40,8 @@ namespace rc::net {
 // Where kPredictSingle coalescing happens (DESIGN.md "Cross-request
 // batching"). kShared gives one BatchCombiner all worker threads park in, so
 // concurrent singles across connections coalesce into one ExecEngine walk.
-// kPerWorker gives each worker its own combiner: no cross-worker contention,
-// but a worker thread processes frames serially, so batches only form
-// against an in-flight dispatch (handoff) — it is the measured control arm
-// that shows where the coalescing win actually comes from (bench/perf_net
-// --combiner). kOff routes straight to core::Client::PredictSingle.
-enum class CombinerMode { kOff, kShared, kPerWorker };
+// kOff routes straight to core::Client::PredictSingle.
+enum class CombinerMode { kOff, kShared };
 
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
@@ -121,8 +117,6 @@ class Server {
     // awaiting registration in this worker's epoll set (see AcceptReady).
     std::mutex pending_mu;
     std::vector<int> pending_fds;
-    // kPerWorker mode: this worker's combiner (null otherwise).
-    std::unique_ptr<rc::core::BatchCombiner> combiner;
   };
 
   void WorkerLoop(Worker& worker);
@@ -133,12 +127,10 @@ class Server {
   bool ReadReady(Worker& worker, Connection& conn);
   bool WriteReady(Worker& worker, Connection& conn);
   // Parses and answers every complete frame buffered in conn.in.
-  void ProcessFrames(Worker& worker, Connection& conn);
+  void ProcessFrames(Connection& conn);
   // Decodes and dispatches one frame payload, appending the response.
-  void HandleFrame(Worker& worker, Connection& conn, const uint8_t* payload, size_t size);
-  // The combiner handling this worker's kPredictSingle frames (null = direct).
-  rc::core::BatchCombiner* CombinerFor(Worker& worker) const;
-  std::unique_ptr<rc::core::BatchCombiner> MakeCombiner(rc::obs::Labels labels) const;
+  void HandleFrame(Connection& conn, const uint8_t* payload, size_t size);
+  std::unique_ptr<rc::core::BatchCombiner> MakeCombiner() const;
   void CloseConnection(Worker& worker, int fd);
   bool UpdateEpollOut(Worker& worker, Connection& conn, bool want);
 

@@ -190,15 +190,17 @@ TEST(Word2CacheTest, HitsFromOtherThreadsApplyAsRecencyAndFrequency) {
 }
 
 TEST(Word2CacheTest, LockedProbeArmCountsLocks) {
-  // Sanity for the hook itself: the bench's locked_probe arm must register.
-  CacheOptions options = SmallOptions(64);
-  options.locked_probe = true;
-  Word2Cache cache(options);
+  // Sanity for the hook the zero-lock hit-path tests read: an Insert takes
+  // its shard's writer lock exactly once, so a flat counter across a hit
+  // storm means no lock was taken, not that the hook is dead.
+  Word2Cache cache(SmallOptions(64));
   InsertKey(cache, 1);
   const uint64_t locks_before = ShardLockAcquisitions();
-  uint64_t out[2];
-  ASSERT_TRUE(cache.Lookup(1, out));
+  InsertKey(cache, 2);
   EXPECT_EQ(ShardLockAcquisitions(), locks_before + 1);
+  uint64_t out[2];
+  ASSERT_TRUE(cache.Lookup(2, out));
+  EXPECT_EQ(ShardLockAcquisitions(), locks_before + 1) << "a hit took a lock";
 }
 
 TEST(Word2CacheTest, TombstoneChurnTriggersRebuildAndKeepsValues) {

@@ -330,74 +330,58 @@ TEST_F(ClientTest, NoStoreNoDiskFailsInitialize) {
   EXPECT_FALSE(client.Initialize());
 }
 
-// Every engine mode must serve valid predictions through the full client
-// path (featurize -> engine walk -> argmax), and the exact modes must agree
-// with each other bucket-for-bucket (scalar and AVX2 are bit-identical;
-// quantized may differ only when two classes are within leaf-table
-// tolerance, which a trained model's argmax almost never is — we assert the
-// prediction is valid rather than equal for it).
-TEST_F(ClientTest, EngineModeServesPredictionsInEveryMode) {
-  using Mode = rc::ml::ExecEngine::Mode;
-  ClientInputs inputs = KnownInputs();
-  Prediction scalar;
-  for (Mode mode : {Mode::kScalar, Mode::kAuto, Mode::kAvx2, Mode::kQuantized}) {
-    ClientConfig config;
-    config.engine_mode = mode;
-    Client client(store_.get(), config);
-    ASSERT_TRUE(client.Initialize());
-    Prediction p = client.PredictSingle("VM_P95UTIL", inputs);
-    ASSERT_TRUE(p.valid) << rc::ml::ExecEngine::ModeName(mode);
-    EXPECT_GT(p.score, 0.0);
-    EXPECT_LE(p.score, 1.0);
-    if (mode == Mode::kScalar) {
-      scalar = p;
-    } else if (mode != Mode::kQuantized) {
-      EXPECT_EQ(p.bucket, scalar.bucket) << rc::ml::ExecEngine::ModeName(mode);
-      EXPECT_EQ(p.score, scalar.score) << rc::ml::ExecEngine::ModeName(mode);
-    }
-
-    // PredictMany runs the batched walk under the same stamped mode.
-    std::vector<ClientInputs> batch(5, inputs);
-    auto many = client.PredictMany("VM_P95UTIL", batch);
-    ASSERT_EQ(many.size(), batch.size());
-    for (const Prediction& m : many) {
-      ASSERT_TRUE(m.valid);
-      EXPECT_EQ(m.bucket, p.bucket);
+// The client serves exactly what the trained classifier answers: for every
+// published model, PredictSingle (engine PredictScored) and PredictMany (the
+// batched engine walk) must return the bucket and score of
+// Classifier::PredictScored on the same featurized row, bit for bit. Run
+// natively this covers the AVX2 walk; tools/check_all.sh reruns it under
+// RC_DISABLE_AVX2=1 for the scalar walk.
+TEST_F(ClientTest, EngineWalkMatchesClassifierScored) {
+  const ClientInputs known = KnownInputs();
+  const SubscriptionFeatures& history =
+      trained_->feature_data.at(known.subscription_id);
+  std::vector<ClientInputs> batch;
+  for (int hour = 0; hour < 40; ++hour) {  // > one 32-row SIMD block
+    ClientInputs in = known;
+    in.deploy_hour = hour % 24;
+    in.deploy_dow = hour / 24;
+    batch.push_back(in);
+  }
+  Client singles(store_.get(), ClientConfig{});
+  Client many(store_.get(), ClientConfig{});
+  ASSERT_TRUE(singles.Initialize());
+  ASSERT_TRUE(many.Initialize());
+  for (const auto& [name, classifier] : trained_->models) {
+    const ModelSpec& spec = trained_->specs.at(name);
+    const Featurizer featurizer(spec.metric, spec.encoding);
+    const auto batched = many.PredictMany(name, batch);
+    ASSERT_EQ(batched.size(), batch.size()) << name;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const auto want = classifier->PredictScored(featurizer.Encode(batch[i], history));
+      const Prediction single = singles.PredictSingle(name, batch[i]);
+      ASSERT_TRUE(single.valid) << name << " row " << i;
+      EXPECT_EQ(single.bucket, want.label) << name << " row " << i;
+      EXPECT_EQ(single.score, want.score) << name << " row " << i;
+      ASSERT_TRUE(batched[i].valid) << name << " row " << i;
+      EXPECT_EQ(batched[i].bucket, want.label) << name << " row " << i;
+      EXPECT_EQ(batched[i].score, want.score) << name << " row " << i;
     }
   }
-}
-
-TEST_F(ClientTest, EngineModeOverridesPinSingleModels) {
-  using Mode = rc::ml::ExecEngine::Mode;
-  ClientConfig config;
-  config.engine_mode = Mode::kScalar;
-  config.engine_mode_overrides["VM_AVGUTIL"] = Mode::kQuantized;
-  Client client(store_.get(), config);
-  ASSERT_TRUE(client.Initialize());
-  ClientInputs inputs = KnownInputs();
-  // Both models serve; the override only changes which walk runs.
-  EXPECT_TRUE(client.PredictSingle("VM_P95UTIL", inputs).valid);
-  EXPECT_TRUE(client.PredictSingle("VM_AVGUTIL", inputs).valid);
 }
 
 TEST_F(ClientTest, ModelBytesGaugeExportedPerModel) {
   Client client(store_.get(), ClientConfig{});
   ASSERT_TRUE(client.Initialize());
   auto snapshot = client.metrics().Collect();
-  size_t f64_series = 0, quantized_series = 0;
+  size_t series = 0;
   for (const auto& g : snapshot.gauges) {
     if (g.info.name != "rc_client_model_bytes") continue;
     EXPECT_GT(g.value, 0.0) << g.info.labels;
     EXPECT_NE(g.info.labels.find("model="), std::string::npos) << g.info.labels;
-    if (g.info.labels.find("pool=\"f64\"") != std::string::npos) ++f64_series;
-    if (g.info.labels.find("pool=\"quantized\"") != std::string::npos) {
-      ++quantized_series;
-    }
+    ++series;
   }
-  // Six published models, each with a compiled engine; the quantized series
-  // exists for every model the u16 pool can represent (all of them here).
-  EXPECT_EQ(f64_series, 6u);
-  EXPECT_EQ(quantized_series, 6u);
+  // Six published models, each with a compiled engine: one series each.
+  EXPECT_EQ(series, 6u);
 }
 
 }  // namespace

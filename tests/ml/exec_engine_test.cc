@@ -1,8 +1,9 @@
 // Bit-exactness parity suite for the compiled execution engine: across
 // randomized forests / GBTs, feature counts, depths, class counts, and
 // NaN/infinity inputs, ExecEngine output must be EXACTLY equal (EXPECT_EQ on
-// doubles, no tolerance) to the legacy per-tree AoS traversal. The engine is
-// a pure representation change; any ULP of drift is a compile bug.
+// doubles, no tolerance) to the per-tree reference walk in reference_walk.h.
+// The engine is a pure representation change; any ULP of drift is a compile
+// bug.
 #include "src/ml/exec_engine.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/common/rng.h"
 #include "src/ml/gbt.h"
 #include "src/ml/random_forest.h"
+#include "tests/ml/reference_walk.h"
 
 namespace rc::ml {
 namespace {
@@ -49,7 +51,7 @@ Dataset RandomDataset(size_t rows, size_t features, int classes, Rng& rng) {
 
 // Test vectors: random rows plus adversarial NaN / infinity patterns (NaN
 // compares false against every threshold, so it must always go right —
-// in both traversals).
+// in both walks).
 std::vector<std::vector<double>> TestRows(size_t features, Rng& rng) {
   std::vector<std::vector<double>> rows;
   for (int i = 0; i < 64; ++i) {
@@ -68,11 +70,11 @@ std::vector<std::vector<double>> TestRows(size_t features, Rng& rng) {
   return rows;
 }
 
-void ExpectExactlyEqual(std::span<const double> legacy, std::span<const double> engine) {
-  ASSERT_EQ(legacy.size(), engine.size());
-  for (size_t c = 0; c < legacy.size(); ++c) {
+void ExpectExactlyEqual(std::span<const double> expected, std::span<const double> engine) {
+  ASSERT_EQ(expected.size(), engine.size());
+  for (size_t c = 0; c < expected.size(); ++c) {
     // EXPECT_EQ, not EXPECT_DOUBLE_EQ: bit-exact, zero ULP of tolerance.
-    EXPECT_EQ(legacy[c], engine[c]) << "class " << c;
+    EXPECT_EQ(expected[c], engine[c]) << "class " << c;
   }
 }
 
@@ -98,9 +100,8 @@ TEST(ExecEngineParityTest, RandomForestAcrossShapes) {
 
     std::vector<double> engine_out(static_cast<size_t>(s.classes));
     for (const auto& row : TestRows(s.features, rng)) {
-      auto legacy = forest.PredictProbaLegacy(row);
       forest.engine()->PredictInto(row, engine_out);
-      ExpectExactlyEqual(legacy, engine_out);
+      ExpectExactlyEqual(testing::ReferenceProba(forest, row), engine_out);
     }
   }
 }
@@ -126,9 +127,8 @@ TEST(ExecEngineParityTest, GbtBinaryAndMulticlass) {
 
     std::vector<double> engine_out(static_cast<size_t>(s.classes));
     for (const auto& row : TestRows(s.features, rng)) {
-      auto legacy = model.PredictProbaLegacy(row);
       model.engine()->PredictInto(row, engine_out);
-      ExpectExactlyEqual(legacy, engine_out);
+      ExpectExactlyEqual(testing::ReferenceProba(model, row), engine_out);
     }
   }
 }
@@ -164,8 +164,8 @@ TEST(ExecEngineParityTest, BatchMatchesSingleAtEveryIndexAndStride) {
         for (size_t i = 0; i < n; ++i) {
           model->engine()->PredictInto({X.data() + i * stride, features}, single);
           ExpectExactlyEqual(single, {batch_out.data() + i * k, k});
-          auto legacy = model->PredictProba({X.data() + i * stride, features});
-          ExpectExactlyEqual(legacy, {batch_out.data() + i * k, k});
+          auto via_classifier = model->PredictProba({X.data() + i * stride, features});
+          ExpectExactlyEqual(via_classifier, {batch_out.data() + i * k, k});
         }
       }
     }

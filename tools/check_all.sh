@@ -31,13 +31,18 @@ if grep -rnE 'temp_directory_path|TempDir\(\)|"/tmp' "${REPO_ROOT}/tests" \
 fi
 echo "no fixed temp paths under tests/."
 
-echo "== exec-engine parity (scalar / avx2 / quantized walks) =="
+echo "== exec-engine parity (scalar / avx2) =="
 "${BUILD_DIR}/bench/perf_exec_engine" --dispatch
 "${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
 # Rerun with the AVX2 kill-switch set so CI exercises the portable scalar
 # fallback even on AVX2 hardware (on non-AVX2 hosts both runs are scalar).
+# The kill-switch is the only way to select the scalar walk, so the core
+# rerun is what sends it through the full Client path (single, batched and
+# cached predictions) once per CI run.
 echo "-- scalar fallback (RC_DISABLE_AVX2=1) --"
 RC_DISABLE_AVX2=1 "${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
+RC_DISABLE_AVX2=1 "${BUILD_DIR}/tests/rc_core_tests" \
+  --gtest_filter='ClientTest.EngineWalkMatchesClassifierScored:ClientCacheParityTest.*'
 
 echo "== SIMD flag isolation lint =="
 # exec_engine_avx2.cc must stay the ONLY translation unit built with AVX2

@@ -40,11 +40,9 @@ void Usage() {
       "usage: rc_server [options]\n"
       "  --port P        listen port (default 7071; 0 = ephemeral)\n"
       "  --workers N     epoll worker threads (default 4)\n"
-      "  --combiner M    cross-request batching: off | shared | worker\n"
+      "  --combiner M    cross-request batching: off | shared\n"
       "                  (default shared; see DESIGN.md \"Cross-request batching\")\n"
       "  --combiner-wait-us W  coalescing window in microseconds (default 40)\n"
-      "  --engine-mode M ExecEngine walk: auto | scalar | avx2 | quantized\n"
-      "                  (default auto; see DESIGN.md \"Execution engine\")\n"
       "  --vms N         synthetic workload size when no trace given (default 20000)\n"
       "  --trace PATH    train from a trace CSV instead of the synthetic workload\n"
       "  --days D        trace observation window in days (default 90)\n"
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   rc::net::CombinerMode combiner_mode = rc::net::CombinerMode::kShared;
   int64_t combiner_wait_us = 40;
-  rc::ml::ExecEngine::Mode engine_mode = rc::ml::ExecEngine::Mode::kAuto;
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -105,21 +102,12 @@ int main(int argc, char** argv) {
         combiner_mode = rc::net::CombinerMode::kOff;
       } else if (mode == "shared") {
         combiner_mode = rc::net::CombinerMode::kShared;
-      } else if (mode == "worker") {
-        combiner_mode = rc::net::CombinerMode::kPerWorker;
       } else {
-        std::cerr << "--combiner must be off, shared, or worker\n";
+        std::cerr << "--combiner must be off or shared\n";
         return 2;
       }
     } else if (std::strcmp(argv[i], "--combiner-wait-us") == 0) {
       combiner_wait_us = std::atoll(need("--combiner-wait-us"));
-    } else if (std::strcmp(argv[i], "--engine-mode") == 0) {
-      auto parsed = rc::ml::ExecEngine::ParseMode(need("--engine-mode"));
-      if (!parsed) {
-        std::cerr << "--engine-mode must be auto, scalar, avx2, or quantized\n";
-        return 2;
-      }
-      engine_mode = *parsed;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
@@ -159,7 +147,6 @@ int main(int argc, char** argv) {
   rc::obs::MetricsRegistry registry;
   rc::core::ClientConfig client_config;
   client_config.metrics = &registry;
-  client_config.engine_mode = engine_mode;
   rc::core::Client client(&store, client_config);
   if (!client.Initialize()) {
     std::cerr << "client initialization failed\n";
