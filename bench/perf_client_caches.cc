@@ -22,6 +22,7 @@
 #include "src/common/table_printer.h"
 #include "src/core/client.h"
 #include "src/obs/export.h"
+#include "src/obs/metrics.h"
 
 using namespace rc;
 using namespace rc::core;
@@ -75,14 +76,16 @@ void PrintHitRateTable() {
     client.Initialize();
     std::string model = MetricModelName(m);
     for (const auto& inputs : h.replay) client.PredictSingle(model, inputs);
-    auto stats = client.stats();
-    double per_exec = stats.model_executions > 0
-                          ? static_cast<double>(stats.result_hits) /
-                                static_cast<double>(stats.model_executions)
+    rc::obs::MetricsRegistry& reg = client.metrics();
+    const uint64_t hits = reg.GetCounter("rc_client_result_hits").Value();
+    const uint64_t executions = reg.GetCounter("rc_client_model_executions").Value();
+    const uint64_t no_predictions = reg.GetCounter("rc_client_no_predictions").Value();
+    double per_exec = executions > 0
+                          ? static_cast<double>(hits) / static_cast<double>(executions)
                           : 0.0;
-    table.AddRow({model, std::to_string(h.replay.size()), std::to_string(stats.result_hits),
-                  std::to_string(stats.model_executions), TablePrinter::Fmt(per_exec, 1),
-                  std::to_string(stats.no_predictions)});
+    table.AddRow({model, std::to_string(h.replay.size()), std::to_string(hits),
+                  std::to_string(executions), TablePrinter::Fmt(per_exec, 1),
+                  std::to_string(no_predictions)});
   }
   table.Print(std::cout);
   std::cout << "\npaper anchor: an entry is reused 18-68 times per model execution\n"

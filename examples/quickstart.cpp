@@ -19,6 +19,7 @@
 #include "src/core/client.h"
 #include "src/core/offline_pipeline.h"
 #include "src/obs/export.h"
+#include "src/obs/metrics.h"
 #include "src/store/kv_store.h"
 #include "src/trace/workload_model.h"
 
@@ -90,9 +91,11 @@ int main() {
             << "', lifetime bucket '"
             << BucketLabel(Metric::kLifetime, LifetimeBucket(vm.lifetime())) << "'\n";
 
-  auto stats = client.stats();
-  std::cout << "\nclient stats: " << stats.model_executions << " model executions, "
-            << stats.result_hits << " cache hits, " << stats.no_predictions
+  // The client counts its activity in its metrics registry.
+  rc::obs::MetricsRegistry& reg = client.metrics();
+  std::cout << "\nclient stats: " << reg.GetCounter("rc_client_model_executions").Value()
+            << " model executions, " << reg.GetCounter("rc_client_result_hits").Value()
+            << " cache hits, " << reg.GetCounter("rc_client_no_predictions").Value()
             << " no-predictions\n";
 
   if (const char* dump = std::getenv("RC_METRICS_DUMP"); dump != nullptr && *dump != '0') {

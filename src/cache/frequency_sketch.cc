@@ -27,18 +27,11 @@ uint64_t Mix(uint64_t h, uint64_t seed) {
   return x;
 }
 
-// Saturating 4-bit increment at `shift` inside `word`. Bounded CAS: gives up
-// under contention (the sketch is lossy) and skips once saturated.
-bool IncrementNibble(std::atomic<uint64_t>& word, int shift) {
-  uint64_t cur = word.load(std::memory_order_relaxed);
-  for (int tries = 0; tries < 4; ++tries) {
-    if (((cur >> shift) & 0xF) == 0xF) return false;  // saturated
-    if (word.compare_exchange_weak(cur, cur + (1ULL << shift),
-                                   std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
+// Saturating 4-bit increment at `shift` inside `word`; false once saturated.
+bool IncrementNibble(uint64_t& word, int shift) {
+  if (((word >> shift) & 0xF) == 0xF) return false;
+  word += 1ULL << shift;
+  return true;
 }
 
 }  // namespace
@@ -46,11 +39,11 @@ bool IncrementNibble(std::atomic<uint64_t>& word, int shift) {
 void FrequencySketch::Init(size_t capacity) {
   capacity = std::max<size_t>(capacity, 16);
   table_words_ = NextPow2(capacity);
-  table_ = std::make_unique<std::atomic<uint64_t>[]>(table_words_);
+  table_ = std::make_unique<uint64_t[]>(table_words_);
   door_bits_ = NextPow2(capacity * 4);
-  door_ = std::make_unique<std::atomic<uint64_t>[]>(door_bits_ / 64);
+  door_ = std::make_unique<uint64_t[]>(door_bits_ / 64);
   sample_size_ = 10 * capacity;
-  additions_.store(0, std::memory_order_relaxed);
+  additions_ = 0;
 }
 
 size_t FrequencySketch::CounterIndex(uint64_t hash, int row) const {
@@ -70,14 +63,10 @@ void FrequencySketch::Observe(uint64_t hash) {
                     (door_bits_ - 1);
   const uint64_t m1 = 1ULL << (b1 & 63);
   const uint64_t m2 = 1ULL << (b2 & 63);
-  const uint64_t w1 =
-      door_[b1 >> 6].load(std::memory_order_relaxed);
-  const uint64_t w2 =
-      door_[b2 >> 6].load(std::memory_order_relaxed);
-  if ((w1 & m1) == 0 || (w2 & m2) == 0) {
-    door_[b1 >> 6].fetch_or(m1, std::memory_order_relaxed);
-    door_[b2 >> 6].fetch_or(m2, std::memory_order_relaxed);
-    additions_.fetch_add(1, std::memory_order_relaxed);
+  if ((door_[b1 >> 6] & m1) == 0 || (door_[b2 >> 6] & m2) == 0) {
+    door_[b1 >> 6] |= m1;
+    door_[b2 >> 6] |= m2;
+    ++additions_;
     return;
   }
   bool incremented = false;
@@ -85,7 +74,7 @@ void FrequencySketch::Observe(uint64_t hash) {
     size_t idx = CounterIndex(hash, row);
     incremented |= IncrementNibble(table_[idx >> 4], (idx & 15) * 4);
   }
-  if (incremented) additions_.fetch_add(1, std::memory_order_relaxed);
+  if (incremented) ++additions_;
 }
 
 int FrequencySketch::Frequency(uint64_t hash) const {
@@ -93,7 +82,7 @@ int FrequencySketch::Frequency(uint64_t hash) const {
   int freq = 15;
   for (int row = 0; row < kDepth; ++row) {
     size_t idx = CounterIndex(hash, row);
-    uint64_t word = table_[idx >> 4].load(std::memory_order_relaxed);
+    uint64_t word = table_[idx >> 4];
     freq = std::min(freq, static_cast<int>((word >> ((idx & 15) * 4)) & 0xF));
   }
   const size_t b1 = static_cast<size_t>(Mix(hash, kRowSeed[0] ^ kRowSeed[2])) &
@@ -101,8 +90,8 @@ int FrequencySketch::Frequency(uint64_t hash) const {
   const size_t b2 = static_cast<size_t>(Mix(hash, kRowSeed[1] ^ kRowSeed[3])) &
                     (door_bits_ - 1);
   const bool in_door =
-      (door_[b1 >> 6].load(std::memory_order_relaxed) & (1ULL << (b1 & 63))) != 0 &&
-      (door_[b2 >> 6].load(std::memory_order_relaxed) & (1ULL << (b2 & 63))) != 0;
+      (door_[b1 >> 6] & (1ULL << (b1 & 63))) != 0 &&
+      (door_[b2 >> 6] & (1ULL << (b2 & 63))) != 0;
   return freq + (in_door ? 1 : 0);
 }
 
@@ -111,15 +100,10 @@ void FrequencySketch::Reset() {
   // Halve every nibble in place: shift the word right once and mask out the
   // bit that leaked in from the neighboring nibble.
   constexpr uint64_t kHalveMask = 0x7777777777777777ULL;
-  for (size_t w = 0; w < table_words_; ++w) {
-    uint64_t cur = table_[w].load(std::memory_order_relaxed);
-    table_[w].store((cur >> 1) & kHalveMask, std::memory_order_relaxed);
-  }
-  for (size_t w = 0; w < door_bits_ / 64; ++w) {
-    door_[w].store(0, std::memory_order_relaxed);
-  }
-  additions_.store(sample_size_ / 2, std::memory_order_relaxed);
-  resets_.fetch_add(1, std::memory_order_relaxed);
+  for (size_t w = 0; w < table_words_; ++w) table_[w] = (table_[w] >> 1) & kHalveMask;
+  std::fill_n(door_.get(), door_bits_ / 64, 0);
+  additions_ = sample_size_ / 2;
+  ++resets_;
 }
 
 }  // namespace rc::cache

@@ -6,17 +6,14 @@
 // against the main region's victim; one-shot scan keys never accumulate
 // enough frequency to displace the hot working set.
 //
-// Concurrency: the cache calls Observe() only under its shard's writer lock
-// (inserts, and the drain of buffered hits), but every mutation is still a
-// relaxed/CAS atomic op, so concurrent Observes stay safe. Counter
-// increments are bounded CAS loops that give up under contention and skip
-// entirely once the nibble saturates at 15. Reset() is writer-only and is
-// lossy with respect to concurrent Observes — the sketch is an estimator,
-// not a ledger.
+// Concurrency: none of its own. The sketch is plain integers; the caller
+// must serialize every call. Word2Cache owns one sketch per shard and calls
+// Observe, Frequency, ShouldReset and Reset only under that shard's `mu`
+// (the insert path, the drain of buffered hits and the admission duel), and
+// lock-free readers never touch it. Counter increments saturate at 15.
 #ifndef RC_SRC_CACHE_FREQUENCY_SKETCH_H_
 #define RC_SRC_CACHE_FREQUENCY_SKETCH_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -44,16 +41,12 @@ class FrequencySketch {
   int Frequency(uint64_t hash) const;
 
   // True once enough accesses accumulated that counts should be halved.
-  bool ShouldReset() const {
-    return sample_size_ > 0 &&
-           additions_.load(std::memory_order_relaxed) >= sample_size_;
-  }
+  bool ShouldReset() const { return sample_size_ > 0 && additions_ >= sample_size_; }
 
-  // Halves every counter and clears the doorkeeper. Writer-only; concurrent
-  // Observes may be partially lost (by design — the sketch is approximate).
+  // Halves every counter and clears the doorkeeper.
   void Reset();
 
-  uint64_t resets() const { return resets_.load(std::memory_order_relaxed); }
+  uint64_t resets() const { return resets_; }
 
  private:
   static constexpr int kDepth = 4;  // count-min rows
@@ -61,13 +54,13 @@ class FrequencySketch {
   // Spreads `hash` into the i-th row's counter index.
   size_t CounterIndex(uint64_t hash, int row) const;
 
-  std::unique_ptr<std::atomic<uint64_t>[]> table_;  // 16 nibbles per word
-  size_t table_words_ = 0;                          // power of two
-  std::unique_ptr<std::atomic<uint64_t>[]> door_;   // doorkeeper bitset
-  size_t door_bits_ = 0;                            // power of two
-  uint64_t sample_size_ = 0;                        // reset threshold
-  std::atomic<uint64_t> additions_{0};
-  std::atomic<uint64_t> resets_{0};
+  std::unique_ptr<uint64_t[]> table_;  // 16 nibbles per word
+  size_t table_words_ = 0;             // power of two
+  std::unique_ptr<uint64_t[]> door_;   // doorkeeper bitset
+  size_t door_bits_ = 0;               // power of two
+  uint64_t sample_size_ = 0;           // reset threshold
+  uint64_t additions_ = 0;
+  uint64_t resets_ = 0;
 };
 
 }  // namespace rc::cache

@@ -89,7 +89,7 @@ struct Word2Cache::Shard {
   std::unique_ptr<std::atomic<uint8_t>[]> ctrl_storage;
   std::unique_ptr<Slot[]> slots_storage;
 
-  FrequencySketch sketch;  // written only under mu (inserts and drains)
+  FrequencySketch sketch;  // read and written only under mu
 
   // Lossy per-thread read buffers (Caffeine's striped read buffer): a hit
   // appends its key to the stripe its thread is pinned to, the writer drains

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::core {
 

@@ -12,7 +12,7 @@
 #include "src/common/hashing.h"
 #include "src/core/batch_combiner.h"
 #include "src/ml/exec_engine.h"
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::core {
 
@@ -827,25 +827,6 @@ void Client::FlushCache() {
   known_keys_set_.clear();
   if (disk_ != nullptr) disk_->Clear();
   InvalidateResultCache();
-}
-
-ClientStats Client::stats() const {
-  ClientStats out;
-  out.result_hits = m_.result_hits->Value();
-  out.result_misses = m_.result_misses->Value();
-  out.model_executions = m_.model_executions->Value();
-  out.store_fetches = m_.store_fetches->Value();
-  out.disk_hits = m_.disk_hits->Value();
-  out.no_predictions = m_.no_predictions->Value();
-  out.store_errors = m_.store_errors->Value();
-  out.store_retries = m_.store_retries->Value();
-  out.corrupt_blobs = m_.corrupt_blobs->Value();
-  out.decode_failures = m_.decode_failures->Value();
-  out.breaker_trips = m_.breaker_trips->Value();
-  out.reload_timeouts = m_.reload_timeouts->Value();
-  out.degraded_reason =
-      static_cast<DegradedReason>(degraded_reason_.load(std::memory_order_relaxed));
-  return out;
 }
 
 HealthSnapshot Client::Health() const {

@@ -126,8 +126,8 @@ struct ClientConfig {
 
   // --- observability (DESIGN.md "Observability") ---
   // Registry receiving this client's `rc_client_*` instruments. Null (the
-  // default) gives the client a private registry, so per-instance stats()
-  // keeps its exact per-client semantics; point several clients at a shared
+  // default) gives the client a private registry, so its counters are
+  // exactly this client's activity; point several clients at a shared
   // registry (e.g. obs::MetricsRegistry::Global()) to aggregate them —
   // get-or-create then merges same-named instruments.
   rc::obs::MetricsRegistry* metrics = nullptr;
@@ -172,25 +172,6 @@ struct HealthSnapshot {
   bool healthy() const { return degraded == DegradedReason::kNone && !breaker_open; }
 };
 
-struct ClientStats {
-  uint64_t result_hits = 0;
-  uint64_t result_misses = 0;
-  uint64_t model_executions = 0;
-  uint64_t store_fetches = 0;
-  uint64_t disk_hits = 0;
-  uint64_t no_predictions = 0;
-  // Degradation counters: how often the store failed us and how we coped.
-  uint64_t store_errors = 0;      // failed store reads (before retries)
-  uint64_t store_retries = 0;     // retry attempts after an error
-  uint64_t corrupt_blobs = 0;     // blobs rejected by checksum verification
-  uint64_t decode_failures = 0;   // blobs with a valid CRC that failed decode
-  uint64_t breaker_trips = 0;     // circuit-breaker open transitions
-  uint64_t reload_timeouts = 0;   // full reloads cut short by the deadline
-  DegradedReason degraded_reason = DegradedReason::kNone;
-
-  bool degraded() const { return degraded_reason != DegradedReason::kNone; }
-};
-
 class Client {
  public:
   // The store pointer may be null (fully offline client relying on its disk
@@ -222,16 +203,13 @@ class Client {
   // Drops memory and disk caches.
   void FlushCache();
 
-  // Compatibility view over the registry-backed instruments below. With the
-  // default private registry this is exactly this client's activity.
-  ClientStats stats() const;
-
   // Serving-health snapshot for the admin /healthz endpoint: degradation
   // state, circuit-breaker position, and per-model version/age. Takes
   // writer_mu_ briefly for the breaker fields — admin path, not hot path.
   HealthSnapshot Health() const;
 
-  // Current degradation state, lock-free (the same value stats() reports).
+  // Current degradation state, lock-free (the value the
+  // rc_client_degraded_reason gauge mirrors).
   DegradedReason degraded_reason() const {
     return static_cast<DegradedReason>(
         degraded_reason_.load(std::memory_order_relaxed));
@@ -301,7 +279,8 @@ class Client {
 
   // Registry-backed instruments (rc_client_* family). Pointers are resolved
   // once at construction and stable for the registry's lifetime; every write
-  // is a relaxed shard increment, so the hot path and stats() need no lock.
+  // is a relaxed shard increment, so neither the hot path nor a reader of
+  // the registry needs a lock.
   struct Instruments {
     rc::obs::Counter* result_hits;
     rc::obs::Counter* result_misses;
@@ -427,8 +406,8 @@ class Client {
   bool breaker_open_ = false;
   int64_t breaker_open_until_us_ = 0;
 
-  // Current degradation reason, readable from stats() without a lock
-  // (mirrored into the rc_client_degraded_reason gauge).
+  // Current degradation reason, readable through degraded_reason() without
+  // a lock (mirrored into the rc_client_degraded_reason gauge).
   std::atomic<uint8_t> degraded_reason_{0};
 
   std::unique_ptr<rc::obs::MetricsRegistry> owned_metrics_;  // when config has none

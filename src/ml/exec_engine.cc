@@ -139,16 +139,6 @@ ExecEngine ExecEngine::Compile(const GradientBoostedTrees& gbt) {
   return engine;
 }
 
-std::shared_ptr<const ExecEngine> ExecEngine::TryCompile(const Classifier& model) {
-  if (const auto* forest = dynamic_cast<const RandomForest*>(&model)) {
-    return std::make_shared<const ExecEngine>(Compile(*forest));
-  }
-  if (const auto* gbt = dynamic_cast<const GradientBoostedTrees*>(&model)) {
-    return std::make_shared<const ExecEngine>(Compile(*gbt));
-  }
-  return nullptr;
-}
-
 void ExecEngine::WalkLane(int32_t root, int32_t rounds, const double* X, size_t stride,
                           size_t m, int32_t* payload) const {
   if (root < 0) {

@@ -42,7 +42,6 @@
 #define RC_SRC_ML_EXEC_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -78,9 +77,6 @@ class ExecEngine {
 
   static ExecEngine Compile(const RandomForest& forest);
   static ExecEngine Compile(const GradientBoostedTrees& gbt);
-  // Dispatch on the concrete classifier type; nullptr for types without a
-  // compiled representation (e.g. test doubles).
-  static std::shared_ptr<const ExecEngine> TryCompile(const Classifier& model);
 
   Family family() const { return family_; }
   int num_classes() const { return num_classes_; }

@@ -13,7 +13,7 @@
 #include "src/common/clock.h"
 #include "src/common/faults.h"
 #include "src/net/server.h"  // EINTR-safe read/write wrappers
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::net {
 
@@ -228,7 +228,7 @@ Status Client::Call(Opcode opcode, uint64_t request_id, const std::vector<uint8_
                        deadline_us);
   }
   if (status == Status::kOk &&
-      (payload_len < kHeaderBytesV1 || payload_len > config_.max_frame_bytes)) {
+      (payload_len < kHeaderBytes || payload_len > config_.max_frame_bytes)) {
     status = Status::kProtocolError;
   }
   if (status == Status::kOk) {
@@ -242,7 +242,7 @@ Status Client::Call(Opcode opcode, uint64_t request_id, const std::vector<uint8_
         header.opcode != static_cast<uint16_t>(opcode) || header.request_id != request_id) {
       status = Status::kProtocolError;
     } else {
-      // DecodeHeader consumed the (version-dependent) header; the body
+      // DecodeHeader consumed the (variable-length) header; the body
       // starts wherever the reader stopped.
       *body_off = payload->size() - r.remaining();
     }

@@ -102,7 +102,7 @@ class Client {
   // One full round-trip: lease, connect, send `frame`, receive the matching
   // response, fill `payload` with the response frame (header already
   // validated against `request_id` and `opcode`). `body_off` receives the
-  // offset of the opcode body inside `payload` — v2 headers are variable
+  // offset of the opcode body inside `payload` — headers are variable
   // length (optional trace block), so callers must not assume kHeaderBytes.
   Status Call(Opcode opcode, uint64_t request_id, const std::vector<uint8_t>& frame,
               std::vector<uint8_t>* payload, size_t* body_off, int64_t deadline_us);

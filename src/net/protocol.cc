@@ -64,14 +64,13 @@ const char* ToString(WireStatus status) {
 }
 
 void AppendFrame(std::vector<uint8_t>& out, Opcode opcode, uint64_t request_id,
-                 std::span<const uint8_t> body, uint16_t version,
-                 const obs::TraceContext& trace) {
-  const bool v1 = version == kProtocolVersionV1;
-  const uint8_t flags = (!v1 && trace.valid()) ? kFlagTraceContext : 0;
-  size_t header_bytes = v1 ? kHeaderBytesV1 : kHeaderBytes;
+                 std::span<const uint8_t> body, const obs::TraceContext& trace) {
+  const uint8_t flags = trace.valid() ? kFlagTraceContext : 0;
+  size_t header_bytes = kHeaderBytes;
   if (flags & kFlagTraceContext) header_bytes += kTraceWireBytes;
   uint32_t payload_len = static_cast<uint32_t>(header_bytes + body.size());
   uint32_t magic = kMagic;
+  uint16_t version = kProtocolVersion;
   uint16_t op = static_cast<uint16_t>(opcode);
   out.reserve(out.size() + kLengthPrefixBytes + payload_len);
   AppendRaw(out, &payload_len, sizeof(payload_len));
@@ -79,13 +78,11 @@ void AppendFrame(std::vector<uint8_t>& out, Opcode opcode, uint64_t request_id,
   AppendRaw(out, &version, sizeof(version));
   AppendRaw(out, &op, sizeof(op));
   AppendRaw(out, &request_id, sizeof(request_id));
-  if (!v1) {
-    out.push_back(flags);
-    if (flags & kFlagTraceContext) {
-      AppendRaw(out, &trace.trace_id, sizeof(trace.trace_id));
-      AppendRaw(out, &trace.span_id, sizeof(trace.span_id));
-      out.push_back(trace.sampled ? 1 : 0);
-    }
+  out.push_back(flags);
+  if (flags & kFlagTraceContext) {
+    AppendRaw(out, &trace.trace_id, sizeof(trace.trace_id));
+    AppendRaw(out, &trace.span_id, sizeof(trace.span_id));
+    out.push_back(trace.sampled ? 1 : 0);
   }
   if (!body.empty()) AppendRaw(out, body.data(), body.size());
 }
@@ -126,8 +123,7 @@ void AppendPredictSingleRequest(std::vector<uint8_t>& out, uint64_t request_id,
   ByteWriter w;
   w.String(model);
   EncodeInputs(w, inputs);
-  AppendFrame(out, Opcode::kPredictSingle, request_id, w.bytes(), kProtocolVersion,
-              trace);
+  AppendFrame(out, Opcode::kPredictSingle, request_id, w.bytes(), trace);
 }
 
 void AppendPredictManyRequest(std::vector<uint8_t>& out, uint64_t request_id,
@@ -138,7 +134,7 @@ void AppendPredictManyRequest(std::vector<uint8_t>& out, uint64_t request_id,
   w.String(model);
   w.U32(static_cast<uint32_t>(inputs.size()));
   for (const core::ClientInputs& in : inputs) EncodeInputs(w, in);
-  AppendFrame(out, Opcode::kPredictMany, request_id, w.bytes(), kProtocolVersion, trace);
+  AppendFrame(out, Opcode::kPredictMany, request_id, w.bytes(), trace);
 }
 
 void AppendHealthRequest(std::vector<uint8_t>& out, uint64_t request_id) {
@@ -146,25 +142,24 @@ void AppendHealthRequest(std::vector<uint8_t>& out, uint64_t request_id) {
 }
 
 void AppendPredictSingleResponse(std::vector<uint8_t>& out, uint64_t request_id,
-                                 const core::Prediction& prediction, uint16_t version) {
+                                 const core::Prediction& prediction) {
   ByteWriter w;
   EncodeStatus(w, WireStatus::kOk);
   EncodePrediction(w, prediction);
-  AppendFrame(out, Opcode::kPredictSingle, request_id, w.bytes(), version);
+  AppendFrame(out, Opcode::kPredictSingle, request_id, w.bytes());
 }
 
 void AppendPredictManyResponse(std::vector<uint8_t>& out, uint64_t request_id,
-                               std::span<const core::Prediction> predictions,
-                               uint16_t version) {
+                               std::span<const core::Prediction> predictions) {
   ByteWriter w;
   EncodeStatus(w, WireStatus::kOk);
   w.U32(static_cast<uint32_t>(predictions.size()));
   for (const core::Prediction& p : predictions) EncodePrediction(w, p);
-  AppendFrame(out, Opcode::kPredictMany, request_id, w.bytes(), version);
+  AppendFrame(out, Opcode::kPredictMany, request_id, w.bytes());
 }
 
 void AppendHealthResponse(std::vector<uint8_t>& out, uint64_t request_id,
-                          const HealthResponse& health, uint16_t version) {
+                          const HealthResponse& health) {
   ByteWriter w;
   EncodeStatus(w, WireStatus::kOk);
   w.U64(health.requests);
@@ -172,40 +167,38 @@ void AppendHealthResponse(std::vector<uint8_t>& out, uint64_t request_id,
   w.U64(health.protocol_errors);
   w.U64(health.active_connections);
   w.U32(health.num_models);
-  AppendFrame(out, Opcode::kHealth, request_id, w.bytes(), version);
+  AppendFrame(out, Opcode::kHealth, request_id, w.bytes());
 }
 
 void AppendErrorResponse(std::vector<uint8_t>& out, Opcode opcode, uint64_t request_id,
-                         WireStatus status, std::string_view message, uint16_t version) {
+                         WireStatus status, std::string_view message) {
   ByteWriter w;
   EncodeStatus(w, status);
   w.String(message);
-  AppendFrame(out, opcode, request_id, w.bytes(), version);
+  AppendFrame(out, opcode, request_id, w.bytes());
 }
 
 WireStatus DecodeHeader(ByteReader& r, FrameHeader* header) {
   *header = FrameHeader{};
-  if (r.remaining() < kHeaderBytesV1) return WireStatus::kMalformed;
+  // The prefix before the flags byte is version-independent: read it first
+  // so a frame of another version is refused as such, with its id echoed.
+  if (r.remaining() < kHeaderBytes - 1) return WireStatus::kMalformed;
   header->magic = r.U32();
   header->version = r.Pod<uint16_t>();
   header->opcode = r.Pod<uint16_t>();
   header->request_id = r.U64();
   if (header->magic != kMagic) return WireStatus::kBadMagic;
-  if (header->version != kProtocolVersion && header->version != kProtocolVersionV1) {
-    return WireStatus::kBadVersion;
-  }
-  if (header->version >= kProtocolVersion) {
-    // v2: flags byte, then any optional blocks it announces — each length
-    // checked against the remaining bytes before it is read.
-    if (r.remaining() < 1) return WireStatus::kMalformed;
-    header->flags = r.Pod<uint8_t>();
-    if ((header->flags & ~kFlagTraceContext) != 0) return WireStatus::kMalformed;
-    if (header->flags & kFlagTraceContext) {
-      if (r.remaining() < kTraceWireBytes) return WireStatus::kMalformed;
-      header->trace.trace_id = r.U64();
-      header->trace.span_id = r.U64();
-      header->trace.sampled = r.Pod<uint8_t>() != 0;
-    }
+  if (header->version != kProtocolVersion) return WireStatus::kBadVersion;
+  // Flags byte, then any optional blocks it announces — each length checked
+  // against the remaining bytes before it is read.
+  if (r.remaining() < 1) return WireStatus::kMalformed;
+  header->flags = r.Pod<uint8_t>();
+  if ((header->flags & ~kFlagTraceContext) != 0) return WireStatus::kMalformed;
+  if (header->flags & kFlagTraceContext) {
+    if (r.remaining() < kTraceWireBytes) return WireStatus::kMalformed;
+    header->trace.trace_id = r.U64();
+    header->trace.span_id = r.U64();
+    header->trace.sampled = r.Pod<uint8_t>() != 0;
   }
   switch (static_cast<Opcode>(header->opcode)) {
     case Opcode::kPredictSingle:

@@ -9,22 +9,21 @@
 //   offset  size  field
 //        0     4  payload_len   (bytes after this field; <= max_frame_bytes)
 //        4     4  magic         'RCNP' (0x504E4352 little-endian)
-//        8     2  version       1 (legacy) or 2
+//        8     2  version       2
 //       10     2  opcode        Opcode (request) / same opcode echoed (response)
 //       12     8  request_id    echoed verbatim in the response
-//   v2 only:
 //       20     1  flags         bit 0: trace-context block follows
-//   v2, flags bit 0 set:
+//   flags bit 0 set:
 //       21     8  trace_id      rc::obs::TraceContext propagated end-to-end
 //       29     8  span_id       the sender's span (becomes the parent here)
 //       37     1  sampled
 //        …     …  body          opcode-specific
 //
-// Version 2 adds the flags byte and the optional trace-context block
-// (DESIGN.md "Tracing & introspection"); version-1 frames are still decoded
-// (no flags byte) and answered with version-1 responses, so old peers keep
-// round-tripping against a new server. Unknown v2 flag bits are kMalformed:
-// the frame length cannot be interpreted without knowing every block.
+// The 16-byte prefix up to the request id is the same in every version, so
+// a frame of any other version (including a flagless version-1 frame) is
+// answered kBadVersion with its request id echoed. Unknown flag bits are
+// kMalformed: the frame length cannot be interpreted without knowing every
+// block (DESIGN.md "Tracing & introspection").
 //
 // Response bodies always begin with a u16 WireStatus; a non-kOk status is
 // followed by a length-prefixed error string and nothing else. Integers are
@@ -48,13 +47,10 @@ namespace rc::net {
 
 inline constexpr uint32_t kMagic = 0x504E4352u;  // "RCNP" in LE byte order
 inline constexpr uint16_t kProtocolVersion = 2;
-inline constexpr uint16_t kProtocolVersionV1 = 1;  // legacy, still accepted
-// Fixed v2 header after the length prefix: magic + version + opcode +
+// Fixed header after the length prefix: magic + version + opcode +
 // request id + flags. The optional trace block is not part of this count.
 inline constexpr size_t kHeaderBytes = 4 + 2 + 2 + 8 + 1;
-// The v1 header had no flags byte.
-inline constexpr size_t kHeaderBytesV1 = 4 + 2 + 2 + 8;
-// Optional v2 trace-context block: trace_id + span_id + sampled.
+// Optional trace-context block: trace_id + span_id + sampled.
 inline constexpr size_t kTraceWireBytes = 8 + 8 + 1;
 inline constexpr uint8_t kFlagTraceContext = 0x01;
 inline constexpr size_t kLengthPrefixBytes = 4;
@@ -90,7 +86,7 @@ struct FrameHeader {
   uint16_t version = kProtocolVersion;
   uint16_t opcode = 0;
   uint64_t request_id = 0;
-  uint8_t flags = 0;         // v2 only; 0 for decoded v1 frames
+  uint8_t flags = 0;
   obs::TraceContext trace;   // filled when kFlagTraceContext was set
 };
 
@@ -116,13 +112,9 @@ struct HealthResponse {
 
 // --- encode (append a complete frame, length prefix included, to `out`) ---
 
-// `version` selects the header layout (responses echo the request's
-// version so legacy peers can parse their replies); `trace`, when valid,
-// rides in the v2 trace-context block and is ignored for v1 frames.
+// `trace`, when valid, rides in the header's trace-context block.
 void AppendFrame(std::vector<uint8_t>& out, Opcode opcode, uint64_t request_id,
-                 std::span<const uint8_t> body,
-                 uint16_t version = kProtocolVersion,
-                 const obs::TraceContext& trace = {});
+                 std::span<const uint8_t> body, const obs::TraceContext& trace = {});
 
 void AppendPredictSingleRequest(std::vector<uint8_t>& out, uint64_t request_id,
                                 const std::string& model, const core::ClientInputs& inputs,
@@ -134,31 +126,26 @@ void AppendPredictManyRequest(std::vector<uint8_t>& out, uint64_t request_id,
 void AppendHealthRequest(std::vector<uint8_t>& out, uint64_t request_id);
 
 void AppendPredictSingleResponse(std::vector<uint8_t>& out, uint64_t request_id,
-                                 const core::Prediction& prediction,
-                                 uint16_t version = kProtocolVersion);
+                                 const core::Prediction& prediction);
 void AppendPredictManyResponse(std::vector<uint8_t>& out, uint64_t request_id,
-                               std::span<const core::Prediction> predictions,
-                               uint16_t version = kProtocolVersion);
+                               std::span<const core::Prediction> predictions);
 void AppendHealthResponse(std::vector<uint8_t>& out, uint64_t request_id,
-                          const HealthResponse& health,
-                          uint16_t version = kProtocolVersion);
+                          const HealthResponse& health);
 // Error response for any opcode: status + message, echoing the request id
 // (0 when the header itself was unreadable).
 void AppendErrorResponse(std::vector<uint8_t>& out, Opcode opcode, uint64_t request_id,
-                         WireStatus status, std::string_view message,
-                         uint16_t version = kProtocolVersion);
+                         WireStatus status, std::string_view message);
 
 // --- decode ---
 
 // Reads the fixed header from `r`, which must be positioned at the start of
-// a frame payload (after the length prefix). Accepts versions 1 and 2 and
-// leaves the reader positioned at the opcode body either way (for v2 it
-// consumes the flags byte and, when present, the trace block — validated
-// against the remaining bytes before any body decoding). Returns kOk and
-// fills `header` when the header is structurally valid; a non-kOk result
-// tells the caller which error frame to answer with. The request id is
-// filled whenever at least the full header was present, so error replies
-// can echo it.
+// a frame payload (after the length prefix), and leaves it positioned at
+// the opcode body: it consumes the flags byte and, when present, the trace
+// block — validated against the remaining bytes before any body decoding.
+// Returns kOk and fills `header` when the header is structurally valid; a
+// non-kOk result tells the caller which error frame to answer with. The
+// request id is filled whenever the 16-byte version-independent prefix was
+// present, so error replies (kBadVersion included) can echo it.
 WireStatus DecodeHeader(rc::ml::ByteReader& r, FrameHeader* header);
 
 // Body decoders; the reader must be positioned right after the header.

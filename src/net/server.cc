@@ -13,7 +13,7 @@
 
 #include "src/common/faults.h"
 #include "src/core/batch_combiner.h"
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::net {
 
@@ -355,16 +355,11 @@ void Server::HandleFrame(Connection& conn, const uint8_t* payload, size_t size) 
   rc::ml::ByteReader r(payload, size);
   FrameHeader header;
   WireStatus status = DecodeHeader(r, &header);
-  // Echo the opcode when the header parsed far enough to carry one, and the
-  // request's version so v1 peers can parse their replies (a garbage version
-  // is answered in v2 — that peer already failed the handshake).
+  // Echo the opcode when the header parsed far enough to carry one.
   Opcode opcode = static_cast<Opcode>(header.opcode);
-  const uint16_t wire_version =
-      header.version == kProtocolVersionV1 ? kProtocolVersionV1 : kProtocolVersion;
   if (status != WireStatus::kOk) {
     m_.protocol_errors->Increment();
-    AppendErrorResponse(conn.out, opcode, header.request_id, status, ToString(status),
-                        wire_version);
+    AppendErrorResponse(conn.out, opcode, header.request_id, status, ToString(status));
     return;
   }
 
@@ -385,7 +380,7 @@ void Server::HandleFrame(Connection& conn, const uint8_t* payload, size_t size) 
   rc::faults::InjectLatency("net/handle");
   if (rc::faults::InjectError("net/handle")) {
     AppendErrorResponse(conn.out, opcode, header.request_id, WireStatus::kInternal,
-                        "injected fault", wire_version);
+                        "injected fault");
     return;
   }
 
@@ -407,7 +402,7 @@ void Server::HandleFrame(Connection& conn, const uint8_t* payload, size_t size) 
         p = client_->PredictSingle(req.model, req.inputs);
       }
       m_.predictions->Increment();
-      AppendPredictSingleResponse(conn.out, header.request_id, p, wire_version);
+      AppendPredictSingleResponse(conn.out, header.request_id, p);
       m_.request_latency_us->Record(static_cast<double>(rc::obs::NowNs() - start_ns) / 1000.0);
       return;
     }
@@ -417,7 +412,7 @@ void Server::HandleFrame(Connection& conn, const uint8_t* payload, size_t size) 
       if (status != WireStatus::kOk) break;
       std::vector<core::Prediction> predictions = client_->PredictMany(req.model, req.inputs);
       m_.predictions->Increment(predictions.size());
-      AppendPredictManyResponse(conn.out, header.request_id, predictions, wire_version);
+      AppendPredictManyResponse(conn.out, header.request_id, predictions);
       m_.request_latency_us->Record(static_cast<double>(rc::obs::NowNs() - start_ns) / 1000.0);
       return;
     }
@@ -426,14 +421,13 @@ void Server::HandleFrame(Connection& conn, const uint8_t* payload, size_t size) 
         status = WireStatus::kMalformed;
         break;
       }
-      AppendHealthResponse(conn.out, header.request_id, Health(), wire_version);
+      AppendHealthResponse(conn.out, header.request_id, Health());
       m_.request_latency_us->Record(static_cast<double>(rc::obs::NowNs() - start_ns) / 1000.0);
       return;
     }
   }
   m_.protocol_errors->Increment();
-  AppendErrorResponse(conn.out, opcode, header.request_id, status, ToString(status),
-                      wire_version);
+  AppendErrorResponse(conn.out, opcode, header.request_id, status, ToString(status));
 }
 
 bool Server::WriteReady(Worker& worker, Connection& conn) {

@@ -72,7 +72,9 @@ TEST(Word2CacheTest, OverflowEvictsOneEntryNotAShard) {
   for (uint64_t k = 0; k < 200; ++k) {
     InsertKey(cache, k);
     EXPECT_LE(cache.size(), 64u);
-    if (k >= 64) EXPECT_EQ(cache.size(), 64u) << "insert " << k;
+    if (k >= 64) {
+      EXPECT_EQ(cache.size(), 64u) << "insert " << k;
+    }
   }
   const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.evictions_window + stats.evictions_probation +

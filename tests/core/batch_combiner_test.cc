@@ -17,9 +17,12 @@
 #include "src/core/client.h"
 #include "src/core/offline_pipeline.h"
 #include "src/trace/workload_model.h"
+#include "tests/client_counter.h"
 
 namespace rc::core {
 namespace {
+
+using rc::testing::ClientCounter;
 
 constexpr char kModel[] = "VM_P95UTIL";
 
@@ -393,8 +396,8 @@ TEST_F(BatchCombinerTest, ClientOwnedCombinerCoalescesPredictSingle) {
   for (const auto& p : first) EXPECT_TRUE(p.valid);
   // Each call probes once in PredictSingle and once more inside the batched
   // PredictMany dispatch: 6 misses for 3 requests, 0 hits.
-  EXPECT_EQ(client.stats().result_misses, 6u);
-  EXPECT_EQ(client.stats().result_hits, 0u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_misses"), 6u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), 0u);
 
   // Round two: all hits, combiner untouched (pending stays empty, and the
   // calls return without any clock interaction).
@@ -403,7 +406,7 @@ TEST_F(BatchCombinerTest, ClientOwnedCombinerCoalescesPredictSingle) {
     EXPECT_TRUE(p.valid);
     EXPECT_EQ(p.bucket, first[i].bucket);
   }
-  EXPECT_EQ(client.stats().result_hits, 3u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), 3u);
   EXPECT_EQ(clock.NowUs(), 0);
 }
 
@@ -435,8 +438,8 @@ TEST_F(BatchCombinerTest, ProbeResultCacheAnswersHitsWithoutParking) {
   EXPECT_EQ(hit.flush, CombineFlush::kCacheHit);
   EXPECT_EQ(hit.prediction.bucket, miss.prediction.bucket);
   EXPECT_EQ(clock.NowUs(), 0);
-  EXPECT_EQ(client.stats().result_hits, 1u);
-  EXPECT_EQ(client.stats().result_misses, 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_misses"), 1u);
 }
 
 TEST_F(BatchCombinerTest, ProbeModeAnswersUnknownSubscriptionWithoutParking) {
@@ -464,7 +467,7 @@ TEST_F(BatchCombinerTest, ProbeModeAnswersUnknownSubscriptionWithoutParking) {
   EXPECT_FALSE(none.prediction.valid);
   EXPECT_EQ(combiner.pending(), 0u);
   EXPECT_EQ(clock.NowUs(), 0);
-  EXPECT_EQ(client.stats().no_predictions, 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_no_predictions"), 1u);
   EXPECT_EQ(client.metrics().GetCounter("rc_combiner_fast_path").Value(), 0u);
 }
 

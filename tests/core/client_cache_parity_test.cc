@@ -14,11 +14,13 @@
 #include "src/core/client.h"
 #include "src/core/offline_pipeline.h"
 #include "src/trace/workload_model.h"
+#include "tests/client_counter.h"
 
 namespace rc::core {
 namespace {
 
 using rc::store::KvStore;
+using rc::testing::ClientCounter;
 using rc::trace::Trace;
 using rc::trace::WorkloadConfig;
 using rc::trace::WorkloadModel;
@@ -96,8 +98,8 @@ TEST_F(ClientCacheParityTest, CachedResultsBitIdenticalToCacheOff) {
     }
   }
   // The second pass actually exercised the cache.
-  EXPECT_GT(cached.stats().result_hits, 0u);
-  EXPECT_EQ(uncached.stats().result_hits, 0u);
+  EXPECT_GT(ClientCounter(cached, "rc_client_result_hits"), 0u);
+  EXPECT_EQ(ClientCounter(uncached, "rc_client_result_hits"), 0u);
 }
 
 TEST_F(ClientCacheParityTest, AdmissionOffParityHolds) {
@@ -171,14 +173,14 @@ TEST_F(ClientCacheParityTest, WarmHitPathTakesZeroShardLocks) {
   const std::vector<ClientInputs> inputs = KnownInputSet(32);
   // Warm: every key inserted (insert takes the shard writer lock, once).
   for (const auto& in : inputs) client.PredictSingle("VM_P95UTIL", in);
-  const uint64_t hits_before = client.stats().result_hits;
+  const uint64_t hits_before = ClientCounter(client, "rc_client_result_hits");
   const uint64_t locks_before = rc::cache::ShardLockAcquisitions();
   for (int round = 0; round < 50; ++round) {
     for (const auto& in : inputs) client.PredictSingle("VM_P95UTIL", in);
   }
   EXPECT_EQ(rc::cache::ShardLockAcquisitions(), locks_before)
       << "a warm PredictSingle hit acquired a cache shard mutex";
-  EXPECT_EQ(client.stats().result_hits, hits_before + 50 * inputs.size());
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), hits_before + 50 * inputs.size());
 }
 
 }  // namespace

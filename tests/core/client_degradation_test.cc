@@ -2,7 +2,8 @@
 // layer): Client::PredictSingle must never throw, crash, or silently serve
 // corrupt data during store outages, injected I/O error storms, or
 // corrupt-blob storms — it serves its last-good snapshot, surfaces the
-// degraded window in ClientStats, and recovers when the store heals.
+// degraded window through Client::degraded_reason(), and recovers when the
+// store heals.
 #include "src/core/client.h"
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include "src/common/faults.h"
 #include "src/core/offline_pipeline.h"
 #include "src/trace/workload_model.h"
+#include "tests/client_counter.h"
 #include "tests/scoped_temp_dir.h"
 
 namespace rc::core {
@@ -20,6 +22,7 @@ namespace {
 
 namespace faults = rc::faults;
 using rc::store::KvStore;
+using rc::testing::ClientCounter;
 using rc::trace::Trace;
 using rc::trace::WorkloadConfig;
 using rc::trace::WorkloadModel;
@@ -103,13 +106,13 @@ TEST_F(ClientDegradationTest, ServesLastGoodThroughOutageAndCorruptStorm) {
   auto inputs = KnownInputSet(20);
   auto baseline = PredictAll(client, inputs);
   for (const auto& p : baseline) ASSERT_TRUE(p.valid);
-  EXPECT_FALSE(client.stats().degraded());
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kNone);
 
   // Phase 1: full outage. Reload attempts fail; last-good keeps serving.
   store_->SetAvailable(false);
   client.ForceReloadCache();
   ExpectSamePredictions(PredictAll(client, inputs), baseline);
-  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kStoreOutage);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kStoreOutage);
 
   // Phase 2: the store comes back but every republished blob is corrupted in
   // flight (bit flips between CRC stamping and storage). The push listener
@@ -121,15 +124,14 @@ TEST_F(ClientDegradationTest, ServesLastGoodThroughOutageAndCorruptStorm) {
     faults::ScopedFault storm("kv/put", corrupt);
     OfflinePipeline::Publish(*trained_, *store_);
     ExpectSamePredictions(PredictAll(client, inputs), baseline);
-    auto stats = client.stats();
-    EXPECT_GT(stats.corrupt_blobs, 0u);
-    EXPECT_EQ(stats.degraded_reason, DegradedReason::kCorruptData);
+    EXPECT_GT(ClientCounter(client, "rc_client_corrupt_blobs"), 0u);
+    EXPECT_EQ(client.degraded_reason(), DegradedReason::kCorruptData);
   }
 
   // Phase 3: clean republish heals the degraded window.
   OfflinePipeline::Publish(*trained_, *store_);
   ExpectSamePredictions(PredictAll(client, inputs), baseline);
-  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kNone);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kNone);
 }
 
 TEST_F(ClientDegradationTest, TornPushesAreRejectedToo) {
@@ -144,7 +146,7 @@ TEST_F(ClientDegradationTest, TornPushesAreRejectedToo) {
   faults::ScopedFault storm("kv/put", torn);
   OfflinePipeline::Publish(*trained_, *store_);
   ExpectSamePredictions(PredictAll(client, inputs), baseline);
-  EXPECT_GT(client.stats().corrupt_blobs, 0u);
+  EXPECT_GT(ClientCounter(client, "rc_client_corrupt_blobs"), 0u);
 }
 
 TEST_F(ClientDegradationTest, PullModeFallsBackToDiskMirrorDuringErrorStorm) {
@@ -176,11 +178,10 @@ TEST_F(ClientDegradationTest, PullModeFallsBackToDiskMirrorDuringErrorStorm) {
     Prediction p = client.PredictSingle("VM_P95UTIL", in);
     ASSERT_TRUE(p.valid) << "disk fallback failed";
   }
-  auto stats = client.stats();
-  EXPECT_GT(stats.store_errors, 0u);
-  EXPECT_GT(stats.store_retries, 0u);
-  EXPECT_GT(stats.disk_hits, 0u);
-  EXPECT_EQ(stats.degraded_reason, DegradedReason::kStoreErrors);
+  EXPECT_GT(ClientCounter(client, "rc_client_store_errors"), 0u);
+  EXPECT_GT(ClientCounter(client, "rc_client_store_retries"), 0u);
+  EXPECT_GT(ClientCounter(client, "rc_client_disk_hits"), 0u);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kStoreErrors);
 }
 
 TEST_F(ClientDegradationTest, CircuitBreakerStopsContactingTheStore) {
@@ -203,9 +204,8 @@ TEST_F(ClientDegradationTest, CircuitBreakerStopsContactingTheStore) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(client.PredictSingle("VM_P95UTIL", inputs[0]).valid);
   }
-  auto stats = client.stats();
-  EXPECT_EQ(stats.breaker_trips, 1u);
-  EXPECT_EQ(stats.degraded_reason, DegradedReason::kStoreErrors);
+  EXPECT_EQ(ClientCounter(client, "rc_client_breaker_trips"), 1u);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kStoreErrors);
 
   uint64_t attempts_at_trip = faults::Registry::Global().calls("client/store_read");
   ASSERT_GE(attempts_at_trip, 3u);
@@ -214,7 +214,7 @@ TEST_F(ClientDegradationTest, CircuitBreakerStopsContactingTheStore) {
   }
   // Breaker open: not a single additional store contact.
   EXPECT_EQ(faults::Registry::Global().calls("client/store_read"), attempts_at_trip);
-  EXPECT_EQ(client.stats().breaker_trips, 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_breaker_trips"), 1u);
 }
 
 TEST_F(ClientDegradationTest, BreakerHalfOpenProbeRecovers) {
@@ -233,9 +233,8 @@ TEST_F(ClientDegradationTest, BreakerHalfOpenProbeRecovers) {
     faults::ScopedFault storm("client/store_read", err);
     client.ForceReloadCache();  // trips the breaker partway through
   }
-  auto mid = client.stats();
-  EXPECT_GE(mid.breaker_trips, 1u);
-  EXPECT_EQ(mid.degraded_reason, DegradedReason::kStoreErrors);
+  EXPECT_GE(ClientCounter(client, "rc_client_breaker_trips"), 1u);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kStoreErrors);
   // Still serving last-good.
   ExpectSamePredictions(PredictAll(client, inputs), baseline);
 
@@ -244,7 +243,7 @@ TEST_F(ClientDegradationTest, BreakerHalfOpenProbeRecovers) {
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   client.ForceReloadCache();
   ExpectSamePredictions(PredictAll(client, inputs), baseline);
-  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kNone);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kNone);
 }
 
 TEST_F(ClientDegradationTest, ReloadDeadlineCutsSlowReloadsShort) {
@@ -268,9 +267,8 @@ TEST_F(ClientDegradationTest, ReloadDeadlineCutsSlowReloadsShort) {
   // Without the deadline this reload would take (keys x 200ms) >> 5 s; the
   // budget plus at most one in-flight read bounds it.
   EXPECT_LT(elapsed, 2000);
-  auto stats = client.stats();
-  EXPECT_EQ(stats.reload_timeouts, 1u);
-  EXPECT_EQ(stats.degraded_reason, DegradedReason::kStoreErrors);
+  EXPECT_EQ(ClientCounter(client, "rc_client_reload_timeouts"), 1u);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kStoreErrors);
   // The partial reload never replaced good entries with nothing.
   ExpectSamePredictions(PredictAll(client, inputs), baseline);
 }
@@ -299,7 +297,7 @@ TEST_F(ClientDegradationTest, ColdStartWithCorruptDiskAndDeadStoreIsSafe) {
   for (const auto& in : inputs) {
     EXPECT_FALSE(client.PredictSingle("VM_P95UTIL", in).valid);
   }
-  EXPECT_GT(client.stats().no_predictions, 0u);
+  EXPECT_GT(ClientCounter(client, "rc_client_no_predictions"), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // rc::obs integration at the client boundary: the registry-backed
-// instruments must mirror ClientStats exactly, the degraded-reason gauge and
-// breaker-trip counter must move through an injected outage, and a shared
-// registry must keep two clients' series apart via labels.
+// instruments must count the client's activity exactly, the degraded-reason
+// gauge and breaker-trip counter must move through an injected outage, and a
+// shared registry must keep two clients' series apart via labels.
 #include "src/core/client.h"
 
 #include <chrono>
@@ -79,7 +79,7 @@ class ClientMetricsTest : public ::testing::Test {
 const Trace* ClientMetricsTest::trace_ = nullptr;
 const TrainedModels* ClientMetricsTest::trained_ = nullptr;
 
-TEST_F(ClientMetricsTest, InstrumentsMirrorClientStats) {
+TEST_F(ClientMetricsTest, InstrumentsCountClientActivity) {
   ClientConfig config;
   config.predict_latency_sample_every = 1;  // time every call
   Client client(store_.get(), config);
@@ -89,15 +89,12 @@ TEST_F(ClientMetricsTest, InstrumentsMirrorClientStats) {
     ASSERT_TRUE(client.PredictSingle("VM_P95UTIL", input).valid);
   }
 
-  ClientStats stats = client.stats();
-  EXPECT_EQ(stats.result_hits, 4u);
-  EXPECT_EQ(stats.result_misses, 1u);
-
+  // One miss executes the model; the four repeats hit the result cache.
   rc::obs::MetricsRegistry& reg = client.metrics();
-  EXPECT_EQ(reg.GetCounter("rc_client_result_hits").Value(), stats.result_hits);
-  EXPECT_EQ(reg.GetCounter("rc_client_result_misses").Value(), stats.result_misses);
-  EXPECT_EQ(reg.GetCounter("rc_client_model_executions").Value(), stats.model_executions);
-  EXPECT_EQ(reg.GetCounter("rc_client_store_fetches").Value(), stats.store_fetches);
+  EXPECT_EQ(reg.GetCounter("rc_client_result_hits").Value(), 4u);
+  EXPECT_EQ(reg.GetCounter("rc_client_result_misses").Value(), 1u);
+  EXPECT_EQ(reg.GetCounter("rc_client_model_executions").Value(), 1u);
+  EXPECT_GT(reg.GetCounter("rc_client_store_fetches").Value(), 0u);
   // Every prediction was timed (sample_every = 1).
   EXPECT_EQ(reg.GetHistogram("rc_client_predict_latency_us").TakeSnapshot().count, 5u);
   // Store reads happened during Initialize and are timed unconditionally.
@@ -125,8 +122,8 @@ TEST_F(ClientMetricsTest, DegradedGaugeAndBreakerTripsMoveThroughAnOutage) {
     client.ForceReloadCache();
   }
   EXPECT_DOUBLE_EQ(degraded.Value(), 2.0);
+  EXPECT_EQ(client.degraded_reason(), DegradedReason::kStoreErrors);
   EXPECT_GE(trips.Value(), 1u);
-  EXPECT_EQ(trips.Value(), client.stats().breaker_trips);
 
   // Store outage: gauge moves to kStoreOutage (1).
   store_->SetAvailable(false);
@@ -163,9 +160,6 @@ TEST_F(ClientMetricsTest, SharedRegistrySplitsClientsByLabel) {
 
   EXPECT_EQ(shared.GetCounter("rc_client_result_misses", {{"client", "a"}}).Value(), 1u);
   EXPECT_EQ(shared.GetCounter("rc_client_result_misses", {{"client", "b"}}).Value(), 0u);
-  // Per-client stats() views stay isolated despite the shared registry.
-  EXPECT_EQ(a.stats().result_misses, 1u);
-  EXPECT_EQ(b.stats().result_misses, 0u);
 }
 
 TEST_F(ClientMetricsTest, LatencySamplingCanBeDisabled) {

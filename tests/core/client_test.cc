@@ -10,12 +10,14 @@
 
 #include "src/core/offline_pipeline.h"
 #include "src/trace/workload_model.h"
+#include "tests/client_counter.h"
 #include "tests/scoped_temp_dir.h"
 
 namespace rc::core {
 namespace {
 
 using rc::store::KvStore;
+using rc::testing::ClientCounter;
 using rc::trace::Trace;
 using rc::trace::WorkloadConfig;
 using rc::trace::WorkloadModel;
@@ -88,10 +90,9 @@ TEST_F(ClientTest, ResultCacheHitsOnRepeat) {
   Prediction first = client.PredictSingle("VM_AVGUTIL", inputs);
   Prediction second = client.PredictSingle("VM_AVGUTIL", inputs);
   EXPECT_EQ(first.bucket, second.bucket);
-  auto stats = client.stats();
-  EXPECT_EQ(stats.result_hits, 1u);
-  EXPECT_EQ(stats.result_misses, 1u);
-  EXPECT_EQ(stats.model_executions, 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_misses"), 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_model_executions"), 1u);
 }
 
 TEST_F(ClientTest, UnknownModelNoPrediction) {
@@ -99,7 +100,7 @@ TEST_F(ClientTest, UnknownModelNoPrediction) {
   ASSERT_TRUE(client.Initialize());
   Prediction p = client.PredictSingle("NOT_A_MODEL", KnownInputs());
   EXPECT_FALSE(p.valid);
-  EXPECT_EQ(client.stats().no_predictions, 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_no_predictions"), 1u);
 }
 
 TEST_F(ClientTest, UnknownSubscriptionNoPredictionInPushMode) {
@@ -129,7 +130,7 @@ TEST_F(ClientTest, PushUpdatesInvalidateResults) {
   ASSERT_TRUE(client.Initialize());
   ClientInputs inputs = KnownInputs();
   client.PredictSingle("VM_P95UTIL", inputs);
-  EXPECT_EQ(client.stats().result_misses, 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_misses"), 1u);
   // Publish a fresh feature-data record for this subscription: the push
   // must reach the client's caches and clear cached results.
   SubscriptionFeatures features;
@@ -137,9 +138,8 @@ TEST_F(ClientTest, PushUpdatesInvalidateResults) {
   features.vm_count = 1;
   store_->Put(FeatureKey(inputs.subscription_id), features.Serialize());
   client.PredictSingle("VM_P95UTIL", inputs);
-  auto stats = client.stats();
-  EXPECT_EQ(stats.result_hits, 0u);
-  EXPECT_EQ(stats.result_misses, 2u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), 0u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_misses"), 2u);
 }
 
 TEST_F(ClientTest, PushModeNewSubscriptionAppearsAfterPush) {
@@ -164,7 +164,7 @@ TEST_F(ClientTest, PullModeLazyLoads) {
   EXPECT_TRUE(client.GetAvailableModels().empty());
   Prediction p = client.PredictSingle("VM_P95UTIL", KnownInputs());
   EXPECT_TRUE(p.valid);
-  EXPECT_GT(client.stats().store_fetches, 0u);
+  EXPECT_GT(ClientCounter(client, "rc_client_store_fetches"), 0u);
   EXPECT_EQ(client.GetAvailableModels().size(), 1u);
 }
 
@@ -196,7 +196,7 @@ TEST_F(ClientTest, OutageFallsBackToDisk) {
   ASSERT_TRUE(cold.Initialize());
   Prediction p = cold.PredictSingle("VM_P95UTIL", inputs);
   EXPECT_TRUE(p.valid);
-  EXPECT_GT(cold.stats().disk_hits, 0u);
+  EXPECT_GT(ClientCounter(cold, "rc_client_disk_hits"), 0u);
 }
 
 TEST_F(ClientTest, ExpiredDiskCacheIgnored) {
@@ -274,15 +274,14 @@ TEST_F(ClientTest, PredictManyDeduplicatesIdenticalInputs) {
     EXPECT_EQ(p.bucket, results[0].bucket);
     EXPECT_EQ(p.score, results[0].score);
   }
-  auto stats = client.stats();
-  EXPECT_EQ(stats.model_executions, 1u);
-  EXPECT_EQ(stats.result_misses, batch.size());  // every probe missed...
-  EXPECT_EQ(stats.result_hits, 0u);              // ...before the single execute
+  EXPECT_EQ(ClientCounter(client, "rc_client_model_executions"), 1u);
+  // Every probe missed before the single execute.
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_misses"), batch.size());
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), 0u);
   // The cached entry serves the whole batch on repeat.
   client.PredictMany("VM_AVGUTIL", batch);
-  stats = client.stats();
-  EXPECT_EQ(stats.model_executions, 1u);
-  EXPECT_EQ(stats.result_hits, batch.size());
+  EXPECT_EQ(ClientCounter(client, "rc_client_model_executions"), 1u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_result_hits"), batch.size());
 }
 
 // Mixed batch: duplicates of two distinct keys -> exactly two executions,
@@ -296,7 +295,7 @@ TEST_F(ClientTest, PredictManyDeduplicatesMixedBatch) {
   std::vector<ClientInputs> batch = {a, b, a, b, a, a};
   auto results = client.PredictMany("VM_AVGUTIL", batch);
   ASSERT_EQ(results.size(), batch.size());
-  EXPECT_EQ(client.stats().model_executions, 2u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_model_executions"), 2u);
   Prediction pa = client.PredictSingle("VM_AVGUTIL", a);
   Prediction pb = client.PredictSingle("VM_AVGUTIL", b);
   for (size_t i : {0u, 2u, 4u, 5u}) {
@@ -308,7 +307,7 @@ TEST_F(ClientTest, PredictManyDeduplicatesMixedBatch) {
     EXPECT_EQ(results[i].score, pb.score) << "row " << i;
   }
   // The singles above were cache hits, not new executions.
-  EXPECT_EQ(client.stats().model_executions, 2u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_model_executions"), 2u);
 }
 
 TEST_F(ClientTest, ResultCacheCapacityBounded) {
@@ -322,7 +321,7 @@ TEST_F(ClientTest, ResultCacheCapacityBounded) {
     client.PredictSingle("VM_AVGUTIL", inputs);
   }
   // The cache was flushed at least once but predictions kept flowing.
-  EXPECT_EQ(client.stats().model_executions, 24u);
+  EXPECT_EQ(ClientCounter(client, "rc_client_model_executions"), 24u);
 }
 
 TEST_F(ClientTest, NoStoreNoDiskFailsInitialize) {

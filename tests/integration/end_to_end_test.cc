@@ -10,6 +10,7 @@
 #include "src/sched/simulator.h"
 #include "src/store/kv_store.h"
 #include "src/trace/workload_model.h"
+#include "tests/client_counter.h"
 
 namespace rc {
 namespace {
@@ -25,6 +26,7 @@ using core::TrainedModels;
 using trace::Trace;
 using trace::WorkloadConfig;
 using trace::WorkloadModel;
+using rc::testing::ClientCounter;
 
 class EndToEndTest : public ::testing::Test {
  protected:
@@ -151,8 +153,7 @@ TEST_F(EndToEndTest, SchedulerConsumesClientPredictions) {
   EXPECT_LT(result.failure_rate(), 0.02);
   // Result-cache effectiveness (paper Section 6.1: entries are reused many
   // times per model execution).
-  auto stats = client.stats();
-  EXPECT_GT(stats.result_hits, 0u);
+  EXPECT_GT(ClientCounter(client, "rc_client_result_hits"), 0u);
 }
 
 TEST_F(EndToEndTest, FeatureImportanceIsHistoryDominated) {

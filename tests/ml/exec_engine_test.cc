@@ -222,34 +222,5 @@ TEST(ExecEngineTest, PoolAccountingMatchesTreeStructure) {
   EXPECT_EQ(engine.num_classes(), forest.num_classes());
 }
 
-TEST(ExecEngineTest, TryCompileDispatchesOnConcreteType) {
-  Rng rng(707);
-  Dataset data = RandomDataset(300, 4, 2, rng);
-  RandomForestConfig config;
-  config.num_trees = 3;
-  RandomForest forest = RandomForest::Fit(data, config);
-  auto engine = ExecEngine::TryCompile(forest);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->family(), ExecEngine::Family::kAveragedForest);
-
-  class Opaque final : public Classifier {
-   public:
-    int num_classes() const override { return 2; }
-    int num_features() const override { return 1; }
-    std::vector<double> PredictProba(std::span<const double>) const override {
-      return {0.5, 0.5};
-    }
-    const char* type_name() const override { return "opaque"; }
-    void Serialize(ByteWriter&) const override {}
-  };
-  Opaque opaque;
-  EXPECT_EQ(ExecEngine::TryCompile(opaque), nullptr);
-  // The virtual batch fallback still serves custom classifiers.
-  double x = 0.0, out[4] = {};
-  opaque.PredictBatch(&x, 2, 0, out);
-  EXPECT_EQ(out[0], 0.5);
-  EXPECT_EQ(out[3], 0.5);
-}
-
 }  // namespace
 }  // namespace rc::ml

@@ -230,20 +230,22 @@ TEST(NetProtocolTest, UntracedV2FrameHasNoTraceBlock) {
   EXPECT_FALSE(header.trace.valid());
 }
 
-// A legacy v1 peer's frame (16-byte header, no flags byte) must still parse
-// against a v2 server — the compatibility promise of the version bump.
-TEST(NetProtocolTest, V1FrameStillDecodes) {
-  std::vector<uint8_t> frame;
-  AppendFrame(frame, Opcode::kHealth, 88, {}, kProtocolVersionV1);
-  rc::ml::ByteReader r(frame.data() + kLengthPrefixBytes, frame.size() - kLengthPrefixBytes);
+// A version-1 peer's frame has the 16-byte version-independent prefix and
+// no flags byte. It is refused as an unsupported version, not as a
+// malformed frame, and the request id is read so the refusal can echo it.
+TEST(NetProtocolTest, V1FrameIsRefusedWithItsRequestId) {
+  rc::ml::ByteWriter w;
+  w.U32(kMagic);
+  w.Pod<uint16_t>(1);  // version
+  w.Pod<uint16_t>(static_cast<uint16_t>(Opcode::kHealth));
+  w.U64(88);
+  ASSERT_EQ(w.bytes().size(), kHeaderBytes - 1);
+  rc::ml::ByteReader r(w.bytes().data(), w.bytes().size());
   FrameHeader h;
-  ASSERT_EQ(DecodeHeader(r, &h), WireStatus::kOk);
-  EXPECT_EQ(h.version, kProtocolVersionV1);
+  EXPECT_EQ(DecodeHeader(r, &h), WireStatus::kBadVersion);
+  EXPECT_EQ(h.version, 1);
   EXPECT_EQ(h.request_id, 88u);
-  EXPECT_EQ(h.flags, 0);
-  EXPECT_FALSE(h.trace.valid());
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(frame.size(), kLengthPrefixBytes + kHeaderBytesV1);
+  EXPECT_EQ(h.opcode, static_cast<uint16_t>(Opcode::kHealth));
 }
 
 // Flags announce a trace block the payload doesn't contain: the header
@@ -251,7 +253,7 @@ TEST(NetProtocolTest, V1FrameStillDecodes) {
 TEST(NetProtocolTest, TruncatedTraceBlockIsMalformed) {
   rc::obs::TraceContext trace{1, 2, true};
   std::vector<uint8_t> frame;
-  AppendFrame(frame, Opcode::kHealth, 5, {}, kProtocolVersion, trace);
+  AppendFrame(frame, Opcode::kHealth, 5, {}, trace);
   for (size_t chop = 1; chop <= kTraceWireBytes; ++chop) {
     std::vector<uint8_t> bad(frame.begin(), frame.end() - static_cast<long>(chop));
     uint32_t payload_len = static_cast<uint32_t>(bad.size() - kLengthPrefixBytes);
@@ -262,32 +264,16 @@ TEST(NetProtocolTest, TruncatedTraceBlockIsMalformed) {
   }
 }
 
-// Unknown v2 flag bits are rejected rather than skipped: a future flag may
+// Unknown flag bits are rejected rather than skipped: a future flag may
 // change the layout after the flags byte, so guessing would misparse.
 TEST(NetProtocolTest, UnknownFlagBitsAreMalformed) {
   std::vector<uint8_t> frame;
   AppendHealthRequest(frame, 3);
   ASSERT_EQ(frame.size(), kLengthPrefixBytes + kHeaderBytes);
-  frame[kLengthPrefixBytes + kHeaderBytesV1] = 0x02;  // the flags byte
+  frame[kLengthPrefixBytes + kHeaderBytes - 1] = 0x02;  // the flags byte
   rc::ml::ByteReader r(frame.data() + kLengthPrefixBytes, frame.size() - kLengthPrefixBytes);
   FrameHeader h;
   EXPECT_EQ(DecodeHeader(r, &h), WireStatus::kMalformed);
-}
-
-// Responses can echo the v1 layout so a legacy client can parse its reply.
-TEST(NetProtocolTest, V1ResponseEchoParses) {
-  std::vector<uint8_t> frame;
-  AppendPredictSingleResponse(frame, 12, core::Prediction::Of(1, 0.25), kProtocolVersionV1);
-  rc::ml::ByteReader r(frame.data() + kLengthPrefixBytes, frame.size() - kLengthPrefixBytes);
-  FrameHeader h;
-  ASSERT_EQ(DecodeHeader(r, &h), WireStatus::kOk);
-  EXPECT_EQ(h.version, kProtocolVersionV1);
-  WireStatus remote;
-  core::Prediction p;
-  std::string error;
-  ASSERT_TRUE(DecodePredictSingleResponse(r, &remote, &p, &error));
-  EXPECT_EQ(remote, WireStatus::kOk);
-  EXPECT_EQ(p.bucket, 1);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // caller parks) must produce ONE connected span tree on /tracez — client
 // send, server frame read, combiner park/dispatch, engine execute, response
 // write — with the coalesced marker carrying a follows-from link to the
-// dispatch span. Also pins v1 wire compatibility: a hand-built v1 frame
-// round-trips against the v2 server and the reply parses as v1.
+// dispatch span. Also pins the refusal of other protocol versions: a
+// hand-built v1 frame gets a kBadVersion reply echoing its request id, and
+// the connection keeps serving.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -203,10 +204,12 @@ TEST_F(TracePropagationTest, UnsampledRequestsRecordNothing) {
   EXPECT_EQ(json.find("netclient/call"), std::string::npos);
 }
 
-// A legacy v1 peer: 16-byte header, no flags byte, no trace block. The v2
-// server must parse the request and answer in v1 so the peer can parse the
-// reply. Driven over a raw socket because the pooled client always speaks v2.
-TEST_F(TracePropagationTest, V1FrameRoundTripsAgainstV2Server) {
+// A version-1 peer: 16-byte header, no flags byte. The server answers with
+// a kBadVersion error echoing the request id, and the frame boundary is
+// intact, so the same connection then serves a current health request.
+// Driven over a raw socket because the pooled client speaks only the current
+// version.
+TEST_F(TracePropagationTest, V1FrameIsRefusedAndConnectionStaysUsable) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -215,14 +218,9 @@ TEST_F(TracePropagationTest, V1FrameRoundTripsAgainstV2Server) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
-  // A health request as a v1 peer would frame it: empty body, v1 header.
-  std::vector<uint8_t> v1_frame;
-  AppendFrame(v1_frame, Opcode::kHealth, 424242, {}, kProtocolVersionV1);
-  ASSERT_EQ(v1_frame.size(), kLengthPrefixBytes + kHeaderBytesV1);
-  ASSERT_EQ(::send(fd, v1_frame.data(), v1_frame.size(), 0),
-            static_cast<ssize_t>(v1_frame.size()));
-
-  // Read length prefix, then the payload.
+  auto send_all = [fd](const std::vector<uint8_t>& bytes) {
+    return ::send(fd, bytes.data(), bytes.size(), 0) == static_cast<ssize_t>(bytes.size());
+  };
   auto read_exact = [fd](void* buf, size_t n) {
     uint8_t* out = static_cast<uint8_t*>(buf);
     size_t got = 0;
@@ -233,17 +231,49 @@ TEST_F(TracePropagationTest, V1FrameRoundTripsAgainstV2Server) {
     }
     return true;
   };
-  uint32_t payload_len = 0;
-  ASSERT_TRUE(read_exact(&payload_len, sizeof(payload_len)));
-  std::vector<uint8_t> payload(payload_len);
-  ASSERT_TRUE(read_exact(payload.data(), payload_len));
-  ::close(fd);
+  auto read_frame = [&read_exact](std::vector<uint8_t>* payload) {
+    uint32_t payload_len = 0;
+    if (!read_exact(&payload_len, sizeof(payload_len))) return false;
+    payload->resize(payload_len);
+    return read_exact(payload->data(), payload_len);
+  };
 
+  // A health request as a v1 peer frames it: empty body, 16-byte header.
+  rc::ml::ByteWriter w;
+  w.U32(static_cast<uint32_t>(kHeaderBytes - 1));  // length prefix
+  w.U32(kMagic);
+  w.Pod<uint16_t>(1);  // version
+  w.Pod<uint16_t>(static_cast<uint16_t>(Opcode::kHealth));
+  w.U64(424242);
+  ASSERT_TRUE(send_all(w.bytes()));
+
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(read_frame(&payload));
+  {
+    rc::ml::ByteReader r(payload.data(), payload.size());
+    FrameHeader header;
+    ASSERT_EQ(DecodeHeader(r, &header), WireStatus::kOk);
+    EXPECT_EQ(header.version, kProtocolVersion);
+    EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kHealth));
+    EXPECT_EQ(header.request_id, 424242u);
+    WireStatus remote;
+    HealthResponse health;
+    std::string error;
+    ASSERT_TRUE(DecodeHealthResponse(r, &remote, &health, &error));
+    EXPECT_EQ(remote, WireStatus::kBadVersion);
+    EXPECT_FALSE(error.empty());
+  }
+
+  // The same connection still serves a current frame.
+  std::vector<uint8_t> v2_frame;
+  AppendHealthRequest(v2_frame, 424243);
+  ASSERT_TRUE(send_all(v2_frame));
+  ASSERT_TRUE(read_frame(&payload));
+  ::close(fd);
   rc::ml::ByteReader r(payload.data(), payload.size());
   FrameHeader header;
   ASSERT_EQ(DecodeHeader(r, &header), WireStatus::kOk);
-  EXPECT_EQ(header.version, kProtocolVersionV1);  // reply echoes the version
-  EXPECT_EQ(header.request_id, 424242u);
+  EXPECT_EQ(header.request_id, 424243u);
   WireStatus remote;
   HealthResponse health;
   std::string error;

@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/obs/trace_events.h"
-
 namespace rc::obs {
 namespace {
 
@@ -75,6 +73,22 @@ TEST_F(TraceContextTest, NestedSpansFormParentLinkedTree) {
   EXPECT_NE(json.find("test/child"), std::string::npos);
   EXPECT_NE(json.find("test/grandchild"), std::string::npos);
   EXPECT_EQ(TraceStore::Global().finished_count(), 1u);
+}
+
+TEST_F(TraceContextTest, SampledSpanOutlivesSamplingOff) {
+  Tracer::Global().SetSampleEvery(1);
+  {
+    TraceSpan root("test/late", Tracer::Global().StartTrace());
+    // The sampling decision was made when the trace started; turning
+    // sampling off does not orphan the spans already under way.
+    Tracer::Global().SetSampleEvery(0);
+    TraceSpan child("test/late-child");
+    EXPECT_TRUE(child.context().valid());
+  }
+  EXPECT_EQ(TraceStore::Global().finished_count(), 1u);
+  std::string json = TraceStore::Global().TracezJson();
+  EXPECT_NE(json.find("\"name\":\"test/late\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"test/late-child\""), std::string::npos) << json;
 }
 
 TEST_F(TraceContextTest, ScopedContextInstallsAndRestores) {

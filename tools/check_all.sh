@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-shot gate: plain build + full ctest, a metrics-exposition smoke check
-# (quickstart with RC_METRICS_DUMP=1 must emit every required metric family),
-# then the TSan and ASan/UBSan suites. Any failure stops the script.
+# One-shot gate: plain build + full ctest, the repository benchmark's quick
+# tests, a metrics-exposition smoke check (quickstart with RC_METRICS_DUMP=1
+# must emit every required metric family), then the TSan and ASan/UBSan
+# suites. Any failure stops the script.
 #
 # Usage: tools/check_all.sh
 #   RC_SKIP_SANITIZERS=1 tools/check_all.sh   # plain build + ctest + smoke only
@@ -18,6 +19,13 @@ echo "== ctest (in parallel, each test three times) =="
 # Every case runs as its own process beside its siblings, three times over,
 # so an order- or timing-dependent test fails here rather than in a later run.
 ctest --test-dir "${BUILD_DIR}" -j"$(nproc)" --repeat until-fail:3 --output-on-failure
+
+echo "== benchmark quick tests (rcbench) =="
+# rcbench/ compiles src/ in its own Release tree and includes its headers, so
+# a change under src/ can break the benchmark's build or its output checks
+# without failing any ctest case. Quick mode runs every workload on small
+# inputs with the same checks (it builds .bench_build/ on first use).
+(cd "${REPO_ROOT}" && python3 -m unittest discover -s rcbench/tests)
 
 echo "== test temp-path lint =="
 # Tests take scratch space from rc::testing::ScopedTempDir

@@ -35,7 +35,7 @@ echo "== rc_core_tests (ASan+UBSan, combiner park/flush races) =="
 echo "== rc_ml_tests (ASan+UBSan, exec-engine parity) =="
 "${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
 # The admin endpoint parses hostile HTTP (dribbled, oversized, malformed)
-# and the v2 header decoder reads optional trace blocks from untrusted
+# and the frame header decoder reads optional trace blocks from untrusted
 # frames — exactly the bounds-handling shapes ASan exists to vet.
 echo "== rc_net_tests (ASan+UBSan, admin endpoint + wire tracing) =="
 "${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='AdminServer*:TracePropagation*:NetProtocol*'
